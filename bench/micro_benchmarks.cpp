@@ -42,8 +42,9 @@ void BM_SharedScanReader(benchmark::State& state) {
     dfs::SharedScanReader reader(payload);
     std::uint64_t sink = 0;
     for (std::int64_t c = 0; c < consumers; ++c) {
-      reader.add_consumer(
-          [&sink](const dfs::Record& r) { sink += r.data.size(); });
+      reader.add_consumer([&sink](dfs::RecordChunk chunk) {
+        for (const dfs::Record& r : chunk) sink += r.data.size();
+      });
     }
     benchmark::DoNotOptimize(reader.scan());
     benchmark::DoNotOptimize(sink);
@@ -183,6 +184,61 @@ void BM_MapRunnerEndToEnd(benchmark::State& state) {
                           static_cast<std::int64_t>(records_per_iter));
 }
 BENCHMARK(BM_MapRunnerEndToEnd)->Arg(1)->Arg(4)->Arg(10);
+
+// The merged-task cost model on one thread: one 1 MiB block scanned once for
+// n heavy wordcount members (amplify 2) with p reduce partitions each, arenas
+// recycled through a BatchArenaPool as the engine does. Args are
+// {members, partitions}; s_per_member is task time divided by members, so a
+// merged task that costs what its members' solo tasks cost reads the same
+// at 10 members as at 1.
+void BM_MapRunnerHeavy(benchmark::State& state) {
+  const std::int64_t members = state.range(0);
+  const auto partitions = static_cast<std::uint32_t>(state.range(1));
+  dfs::BlockStore store;
+  workloads::TextCorpusGenerator corpus;
+  S3_CHECK(store.put(BlockId(0), corpus.generate_block(0, ByteSize(1 << 20)))
+               .is_ok());
+  dfs::StoredBlocks source(store);
+
+  std::vector<engine::JobSpec> specs;
+  specs.reserve(static_cast<std::size_t>(members));
+  for (std::int64_t j = 0; j < members; ++j) {
+    specs.push_back(workloads::make_heavy_wordcount_job(
+        JobId(static_cast<std::uint64_t>(j)), FileId(0), 2, partitions));
+  }
+  engine::BatchArenaPool arenas(1);
+
+  for (auto _ : state) {
+    engine::ShuffleStore shuffle;
+    for (const auto& spec : specs) {
+      shuffle.register_job(spec.id, spec.num_reduce_tasks);
+    }
+    engine::MapRunner runner(source, shuffle);
+    runner.set_locality(&arenas, nullptr, 0);
+    engine::MapTaskSpec task;
+    task.id = TaskId(0);
+    task.block = BlockId(0);
+    for (const auto& spec : specs) task.jobs.push_back(&spec);
+    auto outcome = runner.run(task);
+    S3_CHECK(outcome.is_ok());
+    benchmark::DoNotOptimize(outcome);
+    // Hand the published runs back to the pool, as a reduce task would.
+    for (const auto& spec : specs) {
+      for (std::uint32_t p = 0; p < partitions; ++p) {
+        for (auto& run : shuffle.take(spec.id, p)) {
+          arenas.release(0, std::move(run));
+        }
+      }
+    }
+  }
+  state.counters["s_per_member"] = benchmark::Counter(
+      static_cast<double>(members),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MapRunnerHeavy)
+    ->ArgsProduct({{1, 10}, {1, 8, 32}})
+    ->Unit(benchmark::kMillisecond);
 
 // Same map-side data path fanned out over the work-stealing pool: one block
 // per map task, `workers` pinned-pool workers, arena pool recycling batches

@@ -43,22 +43,31 @@ SharedScanReader::SharedScanReader(Payload payload)
   S3_CHECK(payload_ != nullptr);
 }
 
-void SharedScanReader::add_consumer(RecordConsumer consumer) {
+void SharedScanReader::add_consumer(ChunkConsumer consumer) {
   S3_CHECK(consumer != nullptr);
   consumers_.push_back(std::move(consumer));
 }
 
 std::uint64_t SharedScanReader::scan() {
   LineRecordReader reader(payload_);
+  std::vector<Record> chunk;
   Record record;
-  std::uint64_t records = 0;
   while (reader.next(record)) {
-    for (auto& consumer : consumers_) consumer(record);
-    ++records;
+    chunk.push_back(record);
+    // The record's end, counting its newline (one past the payload for an
+    // unterminated last record, which closes the chunk anyway).
+    const std::uint64_t end = record.offset + record.data.size() + 1;
+    if (end - chunk.front().offset >= kScanChunkBytes) {
+      for (auto& consumer : consumers_) consumer(chunk);
+      chunk.clear();
+    }
+  }
+  if (!chunk.empty()) {
+    for (auto& consumer : consumers_) consumer(chunk);
   }
   bytes_physical_ += payload_->size();
   bytes_logical_ += payload_->size() * consumers_.size();
-  return records;
+  return reader.records_read();
 }
 
 std::vector<std::string_view> split_fields(std::string_view row, char sep) {

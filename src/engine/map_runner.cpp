@@ -155,10 +155,14 @@ StatusOr<MapTaskOutcome> MapRunner::run(const MapTaskSpec& task) const {
                                  spec->num_reduce_tasks, arenas_, shard)});
   }
 
+  // Member-major per chunk: one member's mapper runs over the whole chunk,
+  // so only that member's partition buffers are appended to at a time.
   dfs::SharedScanReader reader(payload);
   for (auto& member : members) {
-    reader.add_consumer([&member](const dfs::Record& record) {
-      member.mapper->map(record, *member.emitter);
+    reader.add_consumer([&member](dfs::RecordChunk chunk) {
+      for (const dfs::Record& record : chunk) {
+        member.mapper->map(record, *member.emitter);
+      }
     });
   }
   const std::uint64_t records = reader.scan();

@@ -294,8 +294,12 @@ TEST(SharedScanReaderTest, OnePassManyConsumers) {
   auto payload = std::make_shared<const std::string>("a\nbb\nccc\n");
   SharedScanReader reader(payload);
   std::vector<std::string> seen1, seen2;
-  reader.add_consumer([&](const Record& r) { seen1.emplace_back(r.data); });
-  reader.add_consumer([&](const Record& r) { seen2.emplace_back(r.data); });
+  reader.add_consumer([&](RecordChunk chunk) {
+    for (const Record& r : chunk) seen1.emplace_back(r.data);
+  });
+  reader.add_consumer([&](RecordChunk chunk) {
+    for (const Record& r : chunk) seen2.emplace_back(r.data);
+  });
   EXPECT_EQ(reader.scan(), 3u);
   EXPECT_EQ(seen1, (std::vector<std::string>{"a", "bb", "ccc"}));
   EXPECT_EQ(seen1, seen2);
@@ -304,11 +308,92 @@ TEST(SharedScanReaderTest, OnePassManyConsumers) {
 TEST(SharedScanReaderTest, PhysicalVsLogicalBytes) {
   auto payload = std::make_shared<const std::string>(std::string(1000, 'x'));
   SharedScanReader reader(payload);
-  for (int i = 0; i < 5; ++i) reader.add_consumer([](const Record&) {});
+  for (int i = 0; i < 5; ++i) reader.add_consumer([](RecordChunk) {});
   reader.scan();
   EXPECT_EQ(reader.bytes_physical(), 1000u);
   EXPECT_EQ(reader.bytes_logical(), 5000u);
   EXPECT_EQ(reader.num_consumers(), 5u);
+}
+
+// A block of many chunks: short and empty lines, one record longer than a
+// chunk, and no trailing newline.
+std::string multi_chunk_block() {
+  std::string text;
+  for (int i = 0; text.size() < 3 * kScanChunkBytes; ++i) {
+    text.append(static_cast<std::size_t>(i * 37 % 90),
+                static_cast<char>('a' + i % 26));
+    text += '\n';
+    if (i % 11 == 0) text += '\n';
+  }
+  text.append(kScanChunkBytes + 500, 'L');
+  text += '\n';
+  for (int i = 0; i < 200; ++i) text += "line " + std::to_string(i) + '\n';
+  text += "unterminated";
+  return text;
+}
+
+TEST(SharedScanReaderTest, EveryConsumerSeesEveryRecordOnceInOrder) {
+  auto payload = std::make_shared<const std::string>(multi_chunk_block());
+  std::vector<std::pair<std::uint64_t, std::string>> expected;
+  LineRecordReader line_reader(payload);
+  Record r;
+  while (line_reader.next(r)) expected.emplace_back(r.offset, r.data);
+
+  constexpr int kConsumers = 3;
+  SharedScanReader reader(payload);
+  std::vector<std::vector<std::pair<std::uint64_t, std::string>>> seen(
+      kConsumers);
+  // (consumer, first offset of the chunk) per call, in call order.
+  std::vector<std::pair<int, std::uint64_t>> calls;
+  for (int c = 0; c < kConsumers; ++c) {
+    reader.add_consumer([&, c](RecordChunk chunk) {
+      ASSERT_FALSE(chunk.empty());
+      calls.emplace_back(c, chunk.front().offset);
+      for (const Record& rec : chunk) {
+        seen[c].emplace_back(rec.offset, rec.data);
+      }
+    });
+  }
+  EXPECT_EQ(reader.scan(), expected.size());
+  for (int c = 0; c < kConsumers; ++c) EXPECT_EQ(seen[c], expected);
+
+  // Member-major: each chunk reaches every consumer, in registration order,
+  // before the next chunk starts.
+  ASSERT_EQ(calls.size() % kConsumers, 0u);
+  EXPECT_GT(calls.size() / kConsumers, 3u);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].first, static_cast<int>(i % kConsumers));
+    EXPECT_EQ(calls[i].second, calls[i - i % kConsumers].second);
+  }
+}
+
+TEST(SharedScanReaderTest, ChunksAreRunsOfWholeRecordsOfAboutOnePage) {
+  // Chunk 0 ends on an empty line that brings it to exactly one chunk;
+  // chunk 1 starts with an empty line and ends after a record longer than a
+  // chunk; the last chunk ends on a record with no newline.
+  const std::string first(kScanChunkBytes - 2, 'x');
+  const std::string longest(2 * kScanChunkBytes, 'L');
+  auto payload = std::make_shared<const std::string>(
+      first + "\n\n\nshort\n" + longest + "\nafter\ntail");
+  SharedScanReader reader(payload);
+  std::vector<std::vector<std::string>> chunks;
+  reader.add_consumer([&](RecordChunk chunk) {
+    std::vector<std::string>& records = chunks.emplace_back();
+    for (const Record& rec : chunk) records.emplace_back(rec.data);
+  });
+  EXPECT_EQ(reader.scan(), 7u);
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[0], (std::vector<std::string>{first, ""}));
+  EXPECT_EQ(chunks[1], (std::vector<std::string>{"", "short", longest}));
+  EXPECT_EQ(chunks[2], (std::vector<std::string>{"after", "tail"}));
+}
+
+TEST(SharedScanReaderTest, EmptyBlockDeliversNoChunk) {
+  SharedScanReader reader(std::make_shared<const std::string>());
+  int calls = 0;
+  reader.add_consumer([&](RecordChunk) { ++calls; });
+  EXPECT_EQ(reader.scan(), 0u);
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(SplitFieldsTest, TpchRow) {

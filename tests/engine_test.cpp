@@ -2,10 +2,16 @@
 // map/reduce runners, shared-scan accounting.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "dfs/block_store.h"
+#include "dfs/reader.h"
 #include "engine/kv.h"
 #include "engine/map_runner.h"
 #include "engine/reduce_runner.h"
@@ -230,6 +236,120 @@ TEST_F(MapReduceRunnerTest, CombinerShrinksMapOutput) {
   EXPECT_EQ(outcome.value().per_job.at(with.id).combine_output_records, 1u);
   EXPECT_EQ(shuffle_.pending_records(with.id), 1u);     // combined
   EXPECT_EQ(shuffle_.pending_records(without.id), 2u);  // raw
+}
+
+// A block of several scan chunks of wordcount text. The first chunk ends on
+// an empty line, the second starts with one and ends after a record longer
+// than a chunk, and the last record has no trailing newline.
+std::string chunked_word_block() {
+  static constexpr std::string_view kWords[] = {
+      "the", "that", "then", "to", "cat", "dog", "sat", "on", "a", "mat"};
+  Rng rng(11);
+  auto word = [&]() -> std::string {
+    const std::uint64_t pick = rng.uniform_u64(20);
+    return pick < 10 ? std::string(kWords[pick])
+                     : "w" + std::to_string(rng.uniform_u64(400));
+  };
+  auto line = [&](std::size_t words) {
+    std::string out = word();
+    for (std::size_t w = 1; w < words; ++w) out += ' ' + word();
+    return out;
+  };
+  std::string text;
+  while (text.size() + 100 < dfs::kScanChunkBytes) text += line(8) + '\n';
+  text += "t" + std::string(dfs::kScanChunkBytes - text.size() - 3, 'x');
+  text += "\n\n\n";
+  text += line(1500) + '\n';
+  for (int i = 0; i < 400; ++i) text += line(1 + i % 12) + '\n';
+  text += line(5);
+  return text;
+}
+
+using TakenRun = std::vector<std::pair<std::string, std::string>>;
+
+// One member's output of a map task: its counters, and per partition the
+// runs taken from the shuffle store, record by record.
+struct MemberOutput {
+  std::vector<std::uint64_t> counters;
+  std::vector<std::vector<TakenRun>> partitions;
+};
+
+std::map<std::uint64_t, MemberOutput> run_map_task(
+    const dfs::BlockSource& source, const std::vector<const JobSpec*>& jobs) {
+  ShuffleStore shuffle;
+  for (const JobSpec* spec : jobs) {
+    shuffle.register_job(spec->id, spec->num_reduce_tasks);
+  }
+  MapRunner runner(source, shuffle);
+  MapTaskSpec task;
+  task.id = TaskId(0);
+  task.block = BlockId(0);
+  task.jobs = jobs;
+  auto outcome = runner.run(task);
+  EXPECT_TRUE(outcome.is_ok());
+  std::map<std::uint64_t, MemberOutput> out;
+  if (!outcome.is_ok()) return out;
+  for (const JobSpec* spec : jobs) {
+    const JobCounters& c = outcome.value().per_job.at(spec->id);
+    MemberOutput& member = out[spec->id.value()];
+    member.counters = {c.map_input_records,     c.map_input_bytes,
+                       c.map_output_records,    c.map_output_bytes,
+                       c.combine_output_records, c.reduce_input_groups,
+                       c.reduce_output_records, c.reduce_output_bytes,
+                       c.map_tasks,             c.reduce_tasks,
+                       c.blocks_scanned};
+    for (std::uint32_t p = 0; p < spec->num_reduce_tasks; ++p) {
+      std::vector<TakenRun>& runs = member.partitions.emplace_back();
+      for (const KVBatch& batch : shuffle.take(spec->id, p)) {
+        TakenRun& run = runs.emplace_back();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          run.emplace_back(std::string(batch.key(i)),
+                           std::string(batch.value(i)));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(MergedMapTaskTest, EqualsSoloTasksAcrossChunkBoundaries) {
+  const std::string text = chunked_word_block();
+  {
+    // The block has the shape the test is about.
+    dfs::SharedScanReader reader(std::make_shared<const std::string>(text));
+    std::vector<std::vector<std::size_t>> chunks;  // record lengths
+    reader.add_consumer([&](dfs::RecordChunk chunk) {
+      std::vector<std::size_t>& lengths = chunks.emplace_back();
+      for (const dfs::Record& r : chunk) lengths.push_back(r.data.size());
+    });
+    reader.scan();
+    ASSERT_GE(chunks.size(), 4u);
+    EXPECT_EQ(chunks[0].back(), 0u);
+    EXPECT_EQ(chunks[1].front(), 0u);
+    EXPECT_GT(chunks[1].back(), dfs::kScanChunkBytes);
+    EXPECT_NE(text.back(), '\n');
+  }
+
+  dfs::BlockStore store;
+  ASSERT_TRUE(store.put(BlockId(0), text).is_ok());
+  dfs::StoredBlocks source(store);
+  const JobSpec heavy =
+      workloads::make_heavy_wordcount_job(JobId(0), FileId(0), 2, 4);
+  const JobSpec prefix =
+      workloads::make_wordcount_job(JobId(1), FileId(0), "t", 4, true);
+  const JobSpec wide =
+      workloads::make_wordcount_job(JobId(2), FileId(0), "", 32, false);
+  const auto merged = run_map_task(source, {&heavy, &prefix, &wide});
+  for (const JobSpec* spec : {&heavy, &prefix, &wide}) {
+    const auto solo = run_map_task(source, {spec});
+    ASSERT_EQ(merged.count(spec->id.value()), 1u);
+    ASSERT_EQ(solo.count(spec->id.value()), 1u);
+    const MemberOutput& m = merged.at(spec->id.value());
+    const MemberOutput& s = solo.at(spec->id.value());
+    EXPECT_EQ(m.counters, s.counters) << spec->name;
+    EXPECT_EQ(m.partitions, s.partitions) << spec->name;
+    EXPECT_GT(m.counters[2], 0u) << spec->name;  // map_output_records
+  }
 }
 
 TEST_F(MapReduceRunnerTest, ReducePartitionOutOfRange) {

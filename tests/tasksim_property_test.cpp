@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/rng.h"
 #include "tasksim/tasksim.h"
@@ -16,6 +17,14 @@ struct SweepParam {
   std::uint64_t blocks;
   double arrival_spread;
 };
+
+// Prints a case as its fields. gtest_discover_tests names each ctest case
+// by this printed value, where the default printer dumps the struct's bytes,
+// padding included, so names could change from build to build.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "slots" << p.slots << "_jobs" << p.jobs << "_blocks" << p.blocks
+      << "_spread" << static_cast<int>(p.arrival_spread);
+}
 
 class TaskSimSweep : public ::testing::TestWithParam<SweepParam> {
  protected:
