@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
     }
     const auto start = std::chrono::steady_clock::now();
     if (combined) {
-      S3_CHECK(engine.execute_batch({BatchId(0), blocks, job_ids}).is_ok());
+      S3_CHECK(engine.run_batch({BatchId(0), blocks, job_ids}).is_ok());
     } else {
       for (std::uint64_t j = 0; j < n; ++j) {
         S3_CHECK(
-            engine.execute_batch({BatchId(j), blocks, {JobId(j)}}).is_ok());
+            engine.run_batch({BatchId(j), blocks, {JobId(j)}}).is_ok());
       }
     }
     const double wall = std::chrono::duration<double, std::milli>(

@@ -80,9 +80,9 @@ enum class LockRank : std::uint16_t {
   // Arena shards are taken one at a time (acquire scans with per-shard
   // scope), so a single rank suffices.
   kArenaShard = 50,
-  // Pool coordination (ThreadPool::idle_mu_, PinnedThreadPool::mu_) vs the
-  // task queues (BlockingQueue::mu_, WorkerQueue::mu): the pools never nest
-  // them, but coordination logically wraps queue access.
+  // Pool coordination (PinnedThreadPool::mu_) vs the task queues
+  // (BlockingQueue::mu_, WorkerQueue::mu): the pool never nests them, but
+  // coordination logically wraps queue access.
   kPoolCoordination = 60,
   kPoolQueue = 65,
   kDfsBlockStore = 70,

@@ -1,21 +1,21 @@
-// Core-pinned worker pool with one task deque per worker and work stealing.
-// Replaces the single shared BlockingQueue of ThreadPool on the engine's hot
-// path: a task submitted to worker w lands in w's own deque (preserving the
-// locality the caller intended — e.g. the reduce partition whose shuffle
-// bucket w's arenas own), and an idle worker steals from the back of a
-// victim's deque instead of going to sleep, so a skewed wave still keeps
-// every slot busy (the Metis per-core pool, OS4M's operation-level balance
-// at intra-node scale).
+// Core-pinned worker pool with one task deque per worker and work stealing —
+// the only thread pool in the tree (the engine's map and reduce slots, and
+// the one-worker Prometheus snapshot exporter). A task submitted to worker w
+// lands in w's own deque (preserving the locality the caller intended — e.g.
+// the reduce partition whose shuffle bucket w's arenas own), and an idle
+// worker steals from the back of a victim's deque instead of going to sleep,
+// so a skewed wave still keeps every slot busy (the Metis per-core pool,
+// OS4M's operation-level balance at intra-node scale).
 //
 // Pinning: when options.pin_cores is set each worker calls sched_setaffinity
 // on itself (worker i -> cpu (cpu_offset + i) mod hardware_concurrency).
 // On non-Linux platforms, or when the OS denies the call, pinning degrades
 // to a no-op — pinned_workers() reports how many workers actually stuck.
 //
-// Exception contract (identical to ThreadPool): a task that throws does not
-// kill its worker; the first exception since the last wait_idle() is rethrown
-// from wait_idle() on the caller's thread, later ones are dropped. Lock
-// discipline is machine-checked via common/thread_annotations.h.
+// Exception contract: a task that throws does not kill its worker; the
+// first exception since the last wait_idle() is rethrown from wait_idle() on
+// the caller's thread, later ones are dropped. Lock discipline is
+// machine-checked via common/thread_annotations.h.
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,7 @@
 // REQUIRES contracts hold at each call site; under GCC the macros expand to
 // nothing and the wrappers cost exactly a std::mutex/std::shared_mutex.
 //
-// Usage pattern (see shuffle.h, thread_pool.h, local_engine.h):
+// Usage pattern (see shuffle.h, pinned_thread_pool.h, local_engine.h):
 //
 //   AnnotatedMutex mu_;
 //   int state_ S3_GUARDED_BY(mu_);

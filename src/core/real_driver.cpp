@@ -162,13 +162,17 @@ StatusOr<RealRunResult> RealDriver::run(sched::Scheduler& scheduler,
     deliver(now);
     auto batch = scheduler.next_batch(now, status);
     if (!batch.has_value()) {
+      // Advance to the next arrival or requested wake-up, whichever comes
+      // first.
+      const auto wake = scheduler.next_decision_time();
+      const bool woken = wake.has_value() && *wake > now;
       if (next_arrival < jobs.size()) {
         now = jobs[next_arrival].arrival;
+        if (woken) now = std::min(now, *wake);
         continue;
       }
       if (scheduler.pending_jobs() == 0) break;
-      if (const auto wake = scheduler.next_decision_time();
-          wake.has_value() && *wake > now) {
+      if (woken) {
         now = *wake;
         continue;
       }
@@ -234,16 +238,19 @@ StatusOr<RealRunResult> RealDriver::run_service(
     auto batch = scheduler.next_batch(now, status);
     if (!batch.has_value()) {
       // Queued work the service will only release later (future arrivals):
-      // jump virtual time to the release point.
+      // jump virtual time to the release point, or to a requested wake-up
+      // that comes first.
+      const auto wake = scheduler.next_decision_time();
+      const bool woken = wake.has_value() && *wake > now;
       if (const auto ready = service.next_ready_time(now);
           ready.has_value() && *ready > now) {
         now = *ready;
+        if (woken) now = std::min(now, *wake);
         flushed = false;
         continue;
       }
       if (scheduler.pending_jobs() > 0) {
-        if (const auto wake = scheduler.next_decision_time();
-            wake.has_value() && *wake > now) {
+        if (woken) {
           now = *wake;
           continue;
         }

@@ -143,13 +143,6 @@ void LocalEngine::record_node_death(NodeId node, WaveCtx& ctx) {
 Fault LocalEngine::decide_fault(
     const TaskAttempt& attempt,
     const std::vector<const JobSpec*>& specs) const {
-  if (options_.failure_injector != nullptr &&
-      options_.failure_injector(attempt.task, attempt.attempt)) {
-    // Legacy hook: an anonymous transient, never attributable to a member.
-    Fault fault;
-    fault.kind = FaultKind::kTransient;
-    return fault;
-  }
   if (options_.fault_injector == nullptr) return {};
   Fault fault = options_.fault_injector(attempt);
   if (fault.kind == FaultKind::kPoison) {
@@ -331,6 +324,81 @@ void LocalEngine::export_locality_metrics() const {
   arena_steals.set(static_cast<double>(arena_pool_->steals()));
 }
 
+template <typename Outcome, typename Run>
+StatusOr<Outcome> LocalEngine::run_attempts(
+    TaskAttempt ident, const std::vector<const JobSpec*>& specs, WaveCtx& ctx,
+    const Run& run) {
+  // Fault tolerance: injected failures model a node losing the attempt
+  // before any side effects; re-dispatch is therefore idempotent.
+  const char* const phase = ident.is_map ? "map" : "reduce";
+  StatusOr<Outcome> outcome =
+      Status::internal(ident.is_map ? "map task never attempted"
+                                    : "reduce task never attempted");
+  JobId poison;
+  Status poison_status = Status::ok();
+  for (int attempt = 1; attempt <= options_.max_task_attempts; ++attempt) {
+    if (ident.node.valid() && node_is_dead(ident.node)) {
+      // The assigned node died since dispatch (possibly killed by a
+      // previous attempt's fault): re-dispatch on a live replica.
+      ident.node = pick_replica(ident.block);
+    }
+    ident.attempt = attempt;
+    poison = JobId();
+    const bool last = attempt == options_.max_task_attempts;
+    const Fault fault = decide_fault(ident, specs);
+    if (fault.kind != FaultKind::kNone) {
+      std::string cause = fault_cause_name(fault.kind);
+      if (!fault.detail.empty()) cause += ":" + fault.detail;
+      std::ostringstream os;
+      switch (fault.kind) {
+        case FaultKind::kNodeDeath: {
+          // Reduce attempts carry no node, so only an explicit dead_node
+          // dies under them.
+          const NodeId victim =
+              fault.dead_node.valid() ? fault.dead_node : ident.node;
+          if (victim.valid()) record_node_death(victim, ctx);
+          os << "node " << victim << " died during " << phase << " attempt";
+          outcome = Status::unavailable(os.str());
+          break;
+        }
+        case FaultKind::kHang:
+          os << phase << " attempt exceeded the "
+             << options_.hung_task_timeout_s << "s hung-task timeout";
+          outcome = Status::unavailable(os.str());
+          break;
+        case FaultKind::kPoison:
+          poison = fault.poison_job;
+          os << "poison member " << fault.poison_job << " " << phase
+             << " fn failed";
+          if (!fault.detail.empty()) os << ": " << fault.detail;
+          poison_status = Status::internal(os.str());
+          outcome = poison_status;
+          break;
+        default:
+          outcome = Status::unavailable("injected task failure");
+          break;
+      }
+      note_attempt_failure(ident, fault.kind, cause, !last);
+      continue;
+    }
+    outcome = run();
+    if (outcome.is_ok()) break;
+    // Real read/run failure: retriable unless the data is gone for good.
+    const bool permanent = outcome.status().code() == StatusCode::kDataLoss;
+    note_attempt_failure(ident, FaultKind::kNone, outcome.status().message(),
+                         !last && !permanent);
+    if (permanent) break;
+  }
+  if (!outcome.is_ok() && poison.valid()) {
+    MutexLock ctx_lock(ctx.mu);
+    if (!ctx.poison.valid()) {
+      ctx.poison = poison;
+      ctx.poison_status = poison_status;
+    }
+  }
+  return outcome;
+}
+
 Status LocalEngine::run_wave(const BatchExec& batch,
                              const std::vector<const JobSpec*>& specs,
                              WaveCtx& ctx) {
@@ -364,83 +432,16 @@ Status LocalEngine::run_wave(const BatchExec& batch,
                                                         batch_id = batch.id,
                                                         &map_collect, &specs,
                                                         &ctx] {
-      // Fault tolerance: injected failures model a node losing the attempt
-      // before any side effects; re-dispatch is therefore idempotent.
-      StatusOr<MapTaskOutcome> outcome =
-          Status::internal("map task never attempted");
-      JobId poison;
-      Status poison_status = Status::ok();
-      NodeId node = pick_replica(task.block);
+      TaskAttempt ident;
+      ident.task = task.id;
+      ident.is_map = true;
+      ident.block = task.block;
+      ident.node = pick_replica(task.block);
       // Flight correlation: every record this worker emits while running the
       // task names the batch and the first node the task was assigned to.
-      obs::CorrelationScope task_corr(JobId(), batch_id, node);
-      for (int attempt = 1; attempt <= options_.max_task_attempts; ++attempt) {
-        if (node.valid() && node_is_dead(node)) {
-          // The assigned node died since dispatch (possibly killed by a
-          // previous attempt's fault): re-dispatch on a live replica.
-          node = pick_replica(task.block);
-        }
-        TaskAttempt ident;
-        ident.task = task.id;
-        ident.attempt = attempt;
-        ident.is_map = true;
-        ident.block = task.block;
-        ident.node = node;
-        poison = JobId();
-        const bool last = attempt == options_.max_task_attempts;
-        const Fault fault = decide_fault(ident, specs);
-        if (fault.kind != FaultKind::kNone) {
-          std::string cause = fault_cause_name(fault.kind);
-          if (!fault.detail.empty()) cause += ":" + fault.detail;
-          switch (fault.kind) {
-            case FaultKind::kNodeDeath: {
-              const NodeId victim =
-                  fault.dead_node.valid() ? fault.dead_node : node;
-              if (victim.valid()) record_node_death(victim, ctx);
-              std::ostringstream os;
-              os << "node " << victim << " died during map attempt";
-              outcome = Status::unavailable(os.str());
-              break;
-            }
-            case FaultKind::kHang: {
-              std::ostringstream os;
-              os << "map attempt exceeded the " << options_.hung_task_timeout_s
-                 << "s hung-task timeout";
-              outcome = Status::unavailable(os.str());
-              break;
-            }
-            case FaultKind::kPoison: {
-              poison = fault.poison_job;
-              std::ostringstream os;
-              os << "poison member " << fault.poison_job << " map fn failed";
-              if (!fault.detail.empty()) os << ": " << fault.detail;
-              poison_status = Status::internal(os.str());
-              outcome = poison_status;
-              break;
-            }
-            default:
-              outcome = Status::unavailable("injected task failure");
-              break;
-          }
-          note_attempt_failure(ident, fault.kind, cause, !last);
-          continue;
-        }
-        outcome = map_runner_.run(task);
-        if (outcome.is_ok()) break;
-        // Real read/map failure: retriable unless the data is gone for good.
-        const bool permanent =
-            outcome.status().code() == StatusCode::kDataLoss;
-        note_attempt_failure(ident, FaultKind::kNone,
-                             outcome.status().message(), !last && !permanent);
-        if (permanent) break;
-      }
-      if (!outcome.is_ok() && poison.valid()) {
-        MutexLock ctx_lock(ctx.mu);
-        if (!ctx.poison.valid()) {
-          ctx.poison = poison;
-          ctx.poison_status = poison_status;
-        }
-      }
+      obs::CorrelationScope task_corr(JobId(), batch_id, ident.node);
+      StatusOr<MapTaskOutcome> outcome = run_attempts<MapTaskOutcome>(
+          ident, specs, ctx, [&] { return map_runner_.run(task); });
       MutexLock lock(map_collect.mu);
       if (outcome.is_ok()) {
         map_collect.outcomes.push_back(std::move(outcome).value());
@@ -502,71 +503,13 @@ Status LocalEngine::run_wave(const BatchExec& batch,
         // Flight correlation: reduce tasks are job-affine, so records name
         // both the owning job and the batch whose wave scheduled them.
         obs::CorrelationScope task_corr(task.job->id, batch_id, NodeId());
-        StatusOr<ReduceTaskOutcome> outcome =
-            Status::internal("reduce task never attempted");
-        JobId poison;
-        Status poison_status = Status::ok();
-        for (int attempt = 1; attempt <= options_.max_task_attempts;
-             ++attempt) {
-          TaskAttempt ident;
-          ident.task = task.id;
-          ident.attempt = attempt;
-          ident.is_map = false;
-          ident.job = task.job->id;
-          ident.partition = task.partition;
-          poison = JobId();
-          const bool last = attempt == options_.max_task_attempts;
-          const Fault fault = decide_fault(ident, specs);
-          if (fault.kind != FaultKind::kNone) {
-            std::string cause = fault_cause_name(fault.kind);
-            if (!fault.detail.empty()) cause += ":" + fault.detail;
-            switch (fault.kind) {
-              case FaultKind::kNodeDeath: {
-                if (fault.dead_node.valid()) {
-                  record_node_death(fault.dead_node, ctx);
-                }
-                std::ostringstream os;
-                os << "node " << fault.dead_node
-                   << " died during reduce attempt";
-                outcome = Status::unavailable(os.str());
-                break;
-              }
-              case FaultKind::kHang: {
-                std::ostringstream os;
-                os << "reduce attempt exceeded the "
-                   << options_.hung_task_timeout_s << "s hung-task timeout";
-                outcome = Status::unavailable(os.str());
-                break;
-              }
-              case FaultKind::kPoison: {
-                poison = fault.poison_job;
-                std::ostringstream os;
-                os << "poison member " << fault.poison_job
-                   << " reduce fn failed";
-                if (!fault.detail.empty()) os << ": " << fault.detail;
-                poison_status = Status::internal(os.str());
-                outcome = poison_status;
-                break;
-              }
-              default:
-                outcome = Status::unavailable("injected task failure");
-                break;
-            }
-            note_attempt_failure(ident, fault.kind, cause, !last);
-            continue;
-          }
-          outcome = reduce_runner_.run(task);
-          if (outcome.is_ok()) break;
-          note_attempt_failure(ident, FaultKind::kNone,
-                               outcome.status().message(), !last);
-        }
-        if (!outcome.is_ok() && poison.valid()) {
-          MutexLock ctx_lock(ctx.mu);
-          if (!ctx.poison.valid()) {
-            ctx.poison = poison;
-            ctx.poison_status = poison_status;
-          }
-        }
+        TaskAttempt ident;
+        ident.task = task.id;
+        ident.is_map = false;
+        ident.job = task.job->id;
+        ident.partition = task.partition;
+        StatusOr<ReduceTaskOutcome> outcome = run_attempts<ReduceTaskOutcome>(
+            ident, specs, ctx, [&] { return reduce_runner_.run(task); });
         MutexLock lock(collect.mu);
         if (!outcome.is_ok()) {
           if (collect.error.is_ok()) collect.error = outcome.status();
@@ -774,15 +717,6 @@ StatusOr<BatchOutcome> LocalEngine::run_batch(const BatchExec& batch) {
       journal.record(std::move(event));
     }
   }
-}
-
-Status LocalEngine::execute_batch(const BatchExec& batch) {
-  StatusOr<BatchOutcome> outcome = run_batch(batch);
-  if (!outcome.is_ok()) return outcome.status();
-  if (!outcome.value().quarantined.empty()) {
-    return outcome.value().quarantined.front().reason;
-  }
-  return Status::ok();
 }
 
 std::vector<KeyValue> LocalEngine::re_reduce(const JobSpec& spec,

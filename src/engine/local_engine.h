@@ -48,13 +48,6 @@ struct BatchExec {
   std::vector<JobId> jobs;      // member jobs sharing the scan
 };
 
-// Legacy fault injection hook: called before each task attempt; return true
-// to make that attempt fail (a plain transient, never attributable to a
-// member job). Invoked concurrently from worker threads. The typed
-// FaultInjector in fault.h supersedes this; both may be set.
-using FailureInjector =
-    std::function<bool(TaskId task, int attempt)>;
-
 struct LocalEngineOptions {
   std::size_t map_workers = 4;
   std::size_t reduce_workers = 2;
@@ -73,8 +66,8 @@ struct LocalEngineOptions {
   bool incremental_merge = false;
   // Task-level fault tolerance: attempts per task before the batch fails.
   int max_task_attempts = 3;
-  FailureInjector failure_injector;  // nullptr = no injected failures
-  // Typed fault injection (transients, hangs, node deaths, poison members).
+  // Fault injection (transients, hangs, node deaths, poison members), called
+  // concurrently from worker threads before every task attempt.
   FaultInjector fault_injector;  // nullptr = no injected faults
   // Shared dead-node / corrupt-replica registry. When set, injected node
   // deaths are recorded here (so a FailoverBlockSource built on the same
@@ -138,11 +131,6 @@ class LocalEngine {
   // (invalid options/batch, exhausted non-attributable retries, data loss).
   [[nodiscard]] StatusOr<BatchOutcome> run_batch(const BatchExec& batch);
 
-  // Compatibility wrapper over run_batch(): a batch that quarantined any
-  // member reports the first quarantine reason as the batch error (the
-  // survivors' work is still committed).
-  [[nodiscard]] Status execute_batch(const BatchExec& batch);
-
   // Merges a completed job's partial outputs into its final result and
   // releases its engine state. Must be called after the job's last batch.
   [[nodiscard]] StatusOr<JobResult> finalize_job(JobId job);
@@ -183,6 +171,17 @@ class LocalEngine {
                                 const std::vector<const JobSpec*>& specs,
                                 WaveCtx& ctx);
 
+  // One task's attempt loop, shared by map and reduce tasks: before each
+  // attempt decide_fault may inject a failure; otherwise `run` executes the
+  // task. Failed attempts are journaled and retried up to max_task_attempts;
+  // a kDataLoss failure is permanent. A map attempt whose node (ident.node)
+  // died is re-dispatched on a live replica. A poison member whose attempts
+  // exhaust is recorded in ctx as the quarantine candidate.
+  template <typename Outcome, typename Run>
+  [[nodiscard]] StatusOr<Outcome> run_attempts(
+      TaskAttempt ident, const std::vector<const JobSpec*>& specs,
+      WaveCtx& ctx, const Run& run) S3_EXCLUDES(mu_);
+
   // Metis-style prefault pre-phases (options_.prefault): fault in the input
   // block pages and the arena shards from the workers that will use them, so
   // the timed waves start on resident, locally-placed pages. Best-effort —
@@ -194,9 +193,8 @@ class LocalEngine {
   // hit rates) to the metrics registry.
   void export_locality_metrics() const;
 
-  // Decides what (if anything) goes wrong with one attempt: the legacy
-  // injector first, then the typed injector; poison faults naming a
-  // non-member are dropped.
+  // Decides what (if anything) goes wrong with one attempt; poison faults
+  // naming a non-member are dropped.
   [[nodiscard]] Fault decide_fault(
       const TaskAttempt& attempt,
       const std::vector<const JobSpec*>& specs) const;

@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/pinned_thread_pool.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace s3::obs {
 namespace {
@@ -83,7 +83,7 @@ SnapshotExporter::SnapshotExporter(std::string path, std::int64_t interval_ms)
     : path_(std::move(path)),
       interval_ms_(interval_ms > 0 ? interval_ms : 500) {
   if (path_.empty()) return;
-  pool_ = std::make_unique<ThreadPool>(1);
+  pool_ = std::make_unique<PinnedThreadPool>(1);
   if (!pool_->submit([this] { run_loop(); })) {
     pool_.reset();
     return;

@@ -21,7 +21,7 @@
 #include "obs/registry.h"
 
 namespace s3 {
-class ThreadPool;
+class PinnedThreadPool;
 }
 
 namespace s3::obs {
@@ -70,7 +70,7 @@ class SnapshotExporter {
   mutable AnnotatedMutex mu_{LockRank::kObsSnapshot};
   std::condition_variable cv_;
   bool stop_ S3_GUARDED_BY(mu_) = false;
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<PinnedThreadPool> pool_;
 };
 
 }  // namespace s3::obs

@@ -23,49 +23,16 @@ obs::JournalEvent journal_base(obs::JournalEventType type, FileId file,
 
 }  // namespace
 
-JobQueueManager::JobQueueManager(FileId file, std::uint64_t file_blocks,
-                                 AdmissionMode mode)
-    : file_(file), file_blocks_(file_blocks), mode_(mode) {
+JobQueueManager::JobQueueManager(FileId file, std::uint64_t file_blocks)
+    : file_(file), file_blocks_(file_blocks) {
   S3_CHECK(file_blocks > 0);
 }
 
 void JobQueueManager::admit(JobId job, int priority) {
-  if (mode_ == AdmissionMode::kSerialized) {
-    // Benchmark baseline: the pre-sharding path, where every admission
-    // serializes on the queue mutex against form/complete critical sections.
-    MutexLock lock(mu_);
-    fold_pending();
-    S3_CHECK_MSG(find(job) == nullptr, "job admitted twice: " << job);
-    S3_DCHECK_MSG(cursor_ < file_blocks_,
-                  "segment cursor " << cursor_ << " out of range [0, "
-                                    << file_blocks_ << ")");
-    QueuedJob q;
-    q.id = job;
-    q.start_block = cursor_;
-    q.next_block = cursor_;
-    q.remaining = file_blocks_;
-    q.priority = priority;
-    q.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    jobs_.push_back(q);
-    S3_LOG(kDebug, "jqm") << "admit " << job << " at block " << cursor_;
-    auto& journal = obs::EventJournal::instance();
-    if (journal.observed()) {
-      auto event = journal_base(in_flight_.has_value()
-                                    ? obs::JournalEventType::kLateJobJoined
-                                    : obs::JournalEventType::kJobAdmitted,
-                                file_, cursor_);
-      event.job = job;
-      event.remaining = q.remaining;
-      journal.record(std::move(event));
-    }
-    return;
-  }
-
-  // Sharded fast path: one shard lock, one atomic increment — the queue
-  // mutex (and the long form_batch critical section it serializes) is never
-  // touched. Duplicate admissions hash to the same shard, so the pending
-  // scan below plus the fold-time find() cover both halves of the old
-  // "admitted twice" contract.
+  // One shard lock, one atomic increment — the queue mutex (and the long
+  // form_batch critical section it serializes) is never touched. Duplicate
+  // admissions hash to the same shard, so the pending scan below plus the
+  // fold-time find() cover both halves of the "admitted twice" contract.
   AdmitShard& shard = shards_[job.value() % kAdmitShards];
   PendingAdmit p;
   p.id = job;

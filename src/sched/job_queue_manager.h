@@ -21,16 +21,15 @@
 // Thread safety and the admission fast path: late-arriving jobs may be
 // admitted from any thread while a driver thread forms and completes batches
 // (the paper's dynamic sub-job adjustment — a job that arrives while a batch
-// is in flight is aligned to the next wave). In the default kSharded mode
-// admit() never touches the global queue mutex: arrivals land in one of
-// kAdmitShards independently-locked pending buffers (sequenced by an atomic
-// counter) and are folded into the queue — in admission order — at the top
-// of the next form_batch/retire. Folding happens under the queue mutex while
-// the cursor is exactly where it was when the arrival landed (only
-// form_batch moves it), so a folded job is indistinguishable from one
-// admitted under the global mutex. kSerialized preserves the old
-// single-mutex admission path as a benchmark baseline. The discipline is
-// machine-checked by Clang Thread Safety Analysis.
+// is in flight is aligned to the next wave). admit() never touches the
+// global queue mutex: arrivals land in one of kAdmitShards
+// independently-locked pending buffers (sequenced by an atomic counter) and
+// are folded into the queue — in admission order — at the top of the next
+// form_batch/retire. Folding happens under the queue mutex while the cursor
+// is exactly where it was when the arrival landed (only form_batch moves
+// it), so a folded job is indistinguishable from one admitted under the
+// global mutex. The discipline is machine-checked by Clang Thread Safety
+// Analysis.
 #pragma once
 
 #include <array>
@@ -48,21 +47,14 @@ namespace s3::sched {
 
 class JobQueueManager {
  public:
-  enum class AdmissionMode {
-    kSharded,     // admit() takes only a shard lock (default)
-    kSerialized,  // admit() takes the global queue mutex (bench baseline)
-  };
-
-  JobQueueManager(FileId file, std::uint64_t file_blocks,
-                  AdmissionMode mode = AdmissionMode::kSharded);
+  JobQueueManager(FileId file, std::uint64_t file_blocks);
 
   [[nodiscard]] FileId file() const { return file_; }
   [[nodiscard]] std::uint64_t file_blocks() const { return file_blocks_; }
-  [[nodiscard]] AdmissionMode admission_mode() const { return mode_; }
 
   // Admits a job into the queue; it starts scanning at the current cursor
-  // (for sharded admissions: the cursor at the fold point, which is the same
-  // value — only form_batch moves the cursor).
+  // (stamped when the next form_batch folds it in, which is the same value —
+  // only form_batch moves the cursor). Takes only a shard lock.
   void admit(JobId job, int priority = 0) S3_EXCLUDES(mu_);
 
   [[nodiscard]] bool empty() const S3_EXCLUDES(mu_) {
@@ -129,8 +121,8 @@ class JobQueueManager {
     std::vector<Batch::Member> members;
   };
 
-  // A sharded arrival not yet folded into jobs_. Carries only what admit()
-  // knew without the queue mutex; start/next block are stamped at fold time.
+  // An arrival not yet folded into jobs_. Carries only what admit() knew
+  // without the queue mutex; start/next block are stamped at fold time.
   struct PendingAdmit {
     JobId id;
     int priority = 0;
@@ -155,23 +147,21 @@ class JobQueueManager {
 
   FileId file_;
   std::uint64_t file_blocks_;
-  AdmissionMode mode_;
   mutable AnnotatedMutex mu_{LockRank::kSchedJobQueue};
   std::uint64_t cursor_ S3_GUARDED_BY(mu_) = 0;
   std::vector<QueuedJob> jobs_ S3_GUARDED_BY(mu_);
   std::optional<InFlight> in_flight_ S3_GUARDED_BY(mu_);
 
   std::array<AdmitShard, kAdmitShards> shards_;
-  // Admission order across all shards; also used by the serialized path so
-  // both modes produce identical seq streams.
+  // Admission order across all shards.
   std::atomic<std::uint64_t> next_seq_{0};
   // Un-folded arrivals across all shards (so empty()/queued_jobs() stay
   // accurate without draining the shards).
   std::atomic<std::uint64_t> pending_count_{0};
-  // Relaxed mirrors of cursor_/in_flight_ for journaling sharded admissions
-  // without the queue mutex. Updated wherever the guarded truth changes;
-  // exact in any single-threaded interleaving, at worst one wave stale for
-  // an admission racing form_batch/complete_batch (observability only — the
+  // Relaxed mirrors of cursor_/in_flight_ for journaling admissions without
+  // the queue mutex. Updated wherever the guarded truth changes; exact in
+  // any single-threaded interleaving, at worst one wave stale for an
+  // admission racing form_batch/complete_batch (observability only — the
   // fold stamps the authoritative start block).
   std::atomic<std::uint64_t> cursor_hint_{0};
   std::atomic<bool> in_flight_hint_{false};

@@ -86,7 +86,7 @@ TEST_F(GeneratedSourceTest, EngineResultsMatchMaterializedStore) {
                         JobId(0), file_, "a", 2))
                     .is_ok());
     engine::BatchExec batch{BatchId(0), blocks_, {JobId(0)}};
-    EXPECT_TRUE(engine.execute_batch(batch).is_ok());
+    EXPECT_TRUE(engine.run_batch(batch).is_ok());
     return engine.finalize_job(JobId(0)).value().output;
   };
 

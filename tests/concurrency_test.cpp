@@ -1,13 +1,12 @@
-// Tests for the concurrency primitives: BlockingQueue and ThreadPool.
+// Tests for the BlockingQueue concurrency primitive (the worker pool has its
+// own suite in pinned_thread_pool_test.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/blocking_queue.h"
-#include "common/thread_pool.h"
 
 namespace s3 {
 namespace {
@@ -85,70 +84,6 @@ TEST(BlockingQueueTest, ManyProducersManyConsumers) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.submit([&count] { ++count; }));
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, TasksRunConcurrently) {
-  ThreadPool pool(2);
-  std::atomic<int> in_flight{0};
-  std::atomic<int> peak{0};
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(pool.submit([&] {
-      const int now = ++in_flight;
-      int expected = peak.load();
-      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      --in_flight;
-    }));
-  }
-  pool.wait_idle();
-  EXPECT_GE(peak.load(), 2);
-}
-
-TEST(ThreadPoolTest, SubmitAfterShutdownFails) {
-  ThreadPool pool(1);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([] {}));
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      EXPECT_TRUE(pool.submit([&count] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ++count;
-      }));
-    }
-  }  // destructor: shutdown + drain
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPoolTest, WaitIdleCanBeReused) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) EXPECT_TRUE(pool.submit([&count] { ++count; }));
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (round + 1) * 20);
-  }
-}
-
 // --- Shutdown/close edge semantics ---
 
 TEST(BlockingQueueTest, CloseIsIdempotentAndDropsLatePushes) {
@@ -209,56 +144,6 @@ TEST(BlockingQueueTest, ConcurrentCloseAndPushNeverLosesAcceptedItems) {
     while (q.try_pop().has_value()) ++drained;
     EXPECT_EQ(drained, accepted.load());
   }
-}
-
-// --- ThreadPool exception propagation ---
-
-TEST(ThreadPoolTest, TaskExceptionRethrownFromWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  EXPECT_TRUE(pool.submit([] { throw std::runtime_error("task exploded"); }));
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(pool.submit([&completed] { ++completed; }));
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The throwing task did not kill its worker: every other task still ran.
-  EXPECT_EQ(completed.load(), 10);
-}
-
-TEST(ThreadPoolTest, OnlyFirstExceptionIsKept) {
-  ThreadPool pool(1);  // one worker => deterministic task order
-  EXPECT_TRUE(pool.submit([] { throw std::runtime_error("first"); }));
-  EXPECT_TRUE(pool.submit([] { throw std::logic_error("second"); }));
-  try {
-    pool.wait_idle();
-    FAIL() << "wait_idle should have rethrown";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAfterException) {
-  ThreadPool pool(2);
-  EXPECT_TRUE(pool.submit([] { throw std::runtime_error("boom"); }));
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error slot was cleared; the next wave is clean.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(pool.submit([&count] { ++count; }));
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ThreadPoolTest, ExceptionDuringShutdownIsDiscarded) {
-  // A task that throws while the pool is being torn down must not
-  // std::terminate from the destructor.
-  {
-    ThreadPool pool(1);
-    EXPECT_TRUE(pool.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      throw std::runtime_error("mid-shutdown");
-    }));
-  }  // destructor: shutdown + join, exception dropped
-  SUCCEED();
 }
 
 TEST(BoundedBlockingQueueTest, TryPushFailsFastWhenFull) {

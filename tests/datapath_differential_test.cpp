@@ -156,7 +156,7 @@ TEST(DataPathDifferentialTest, SubJobIncrementalMergeMatches) {
       std::vector<BlockId> segment(blocks.begin() + i,
                                    blocks.begin() + i + 2);
       ASSERT_TRUE(engine
-                      .execute_batch({BatchId(i / 2), segment, {JobId(0)}})
+                      .run_batch({BatchId(i / 2), segment, {JobId(0)}})
                       .is_ok());
     }
     auto result = engine.finalize_job(JobId(0));

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/pinned_thread_pool.h"
 #include "gtest/gtest.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
@@ -151,7 +151,7 @@ TEST(FlightRecorder, RingWrapKeepsLastCapacityAndCountsOverwritten) {
   auto& recorder = FlightRecorder::instance();
   recorder.set_enabled(true);
   // A worker thread gets a fresh ring, so the wrap arithmetic is exact.
-  ThreadPool pool(1);
+  PinnedThreadPool pool(1);
   const std::size_t total = FlightRecorder::kRingCapacity + 40;
   ASSERT_TRUE(pool.submit([total] {
     for (std::size_t i = 0; i < total; ++i) {

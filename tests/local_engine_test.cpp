@@ -98,7 +98,7 @@ TEST_F(LocalEngineTest, SingleBatchWordCountMatchesReference) {
   batch.id = BatchId(0);
   batch.blocks = blocks(0, 8);
   batch.jobs = {JobId(0)};
-  ASSERT_TRUE(engine.execute_batch(batch).is_ok());
+  ASSERT_TRUE(engine.run_batch(batch).is_ok());
 
   auto result = engine.finalize_job(JobId(0));
   ASSERT_TRUE(result.is_ok());
@@ -116,7 +116,7 @@ TEST_F(LocalEngineTest, OutputSortedByKey) {
   const JobSpec spec = workloads::make_wordcount_job(JobId(0), file_, "", 4);
   ASSERT_TRUE(engine.register_job(spec).is_ok());
   BatchExec batch{BatchId(0), blocks(0, 8), {JobId(0)}};
-  ASSERT_TRUE(engine.execute_batch(batch).is_ok());
+  ASSERT_TRUE(engine.run_batch(batch).is_ok());
   auto result = engine.finalize_job(JobId(0));
   ASSERT_TRUE(result.is_ok());
   const auto& out = result.value().output;
@@ -137,13 +137,13 @@ TEST_F(LocalEngineTest, SubJobExecutionEqualsWholeFile) {
   ASSERT_TRUE(engine.register_job(pieces).is_ok());
 
   ASSERT_TRUE(
-      engine.execute_batch({BatchId(0), blocks(0, 8), {JobId(0)}}).is_ok());
+      engine.run_batch({BatchId(0), blocks(0, 8), {JobId(0)}}).is_ok());
   for (std::uint64_t seg = 0; seg < 4; ++seg) {
     const std::uint64_t start =
         sched::wrap_index(4 + seg * 2, 8);  // begin mid-file
     ASSERT_TRUE(engine
-                    .execute_batch({BatchId(1 + seg), blocks(start, 2),
-                                    {JobId(1)}})
+                    .run_batch({BatchId(1 + seg), blocks(start, 2),
+                                {JobId(1)}})
                     .is_ok());
   }
 
@@ -163,7 +163,7 @@ TEST_F(LocalEngineTest, SharedBatchReadsEachBlockOnce) {
                     .is_ok());
   }
   BatchExec batch{BatchId(0), blocks(0, 8), {JobId(0), JobId(1), JobId(2)}};
-  ASSERT_TRUE(engine.execute_batch(batch).is_ok());
+  ASSERT_TRUE(engine.run_batch(batch).is_ok());
   const auto scan = engine.scan_counters();
   EXPECT_EQ(scan.blocks_physical, 8u);
   EXPECT_EQ(scan.blocks_logical, 24u);
@@ -180,12 +180,12 @@ TEST_F(LocalEngineTest, SharedBatchOutputsEqualIndependentRuns) {
     ASSERT_TRUE(engine.register_job(*s).is_ok());
   }
   ASSERT_TRUE(engine
-                  .execute_batch({BatchId(0), blocks(0, 8),
-                                  {JobId(0), JobId(1)}})
+                  .run_batch({BatchId(0), blocks(0, 8),
+                              {JobId(0), JobId(1)}})
                   .is_ok());
-  ASSERT_TRUE(engine.execute_batch({BatchId(1), blocks(0, 8), {JobId(2)}})
+  ASSERT_TRUE(engine.run_batch({BatchId(1), blocks(0, 8), {JobId(2)}})
                   .is_ok());
-  ASSERT_TRUE(engine.execute_batch({BatchId(2), blocks(0, 8), {JobId(3)}})
+  ASSERT_TRUE(engine.run_batch({BatchId(2), blocks(0, 8), {JobId(3)}})
                   .is_ok());
   EXPECT_EQ(to_map(engine.finalize_job(JobId(0)).value()),
             to_map(engine.finalize_job(JobId(2)).value()));
@@ -207,7 +207,7 @@ TEST_F(LocalEngineTest, IncrementalMergeEqualsFinalMerge) {
                     .is_ok());
     for (std::uint64_t seg = 0; seg < 4; ++seg) {
       ASSERT_TRUE(engine
-                      ->execute_batch(
+                      ->run_batch(
                           {BatchId(seg), blocks(seg * 2, 2), {JobId(0)}})
                       .is_ok());
     }
@@ -222,13 +222,13 @@ TEST_F(LocalEngineTest, CountersAccumulate) {
                   .register_job(
                       workloads::make_wordcount_job(JobId(0), file_, "", 2))
                   .is_ok());
-  ASSERT_TRUE(engine.execute_batch({BatchId(0), blocks(0, 4), {JobId(0)}})
+  ASSERT_TRUE(engine.run_batch({BatchId(0), blocks(0, 4), {JobId(0)}})
                   .is_ok());
   const auto after_first = engine.counters(JobId(0));
   EXPECT_EQ(after_first.map_tasks, 4u);
   EXPECT_EQ(after_first.blocks_scanned, 4u);
   EXPECT_GT(after_first.map_input_records, 0u);
-  ASSERT_TRUE(engine.execute_batch({BatchId(1), blocks(4, 4), {JobId(0)}})
+  ASSERT_TRUE(engine.run_batch({BatchId(1), blocks(4, 4), {JobId(0)}})
                   .is_ok());
   const auto after_second = engine.counters(JobId(0));
   EXPECT_EQ(after_second.map_tasks, 8u);
@@ -241,11 +241,12 @@ TEST_F(LocalEngineTest, BatchErrorPaths) {
                   .register_job(
                       workloads::make_wordcount_job(JobId(0), file_, "a", 2))
                   .is_ok());
-  EXPECT_FALSE(engine.execute_batch({BatchId(0), {}, {JobId(0)}}).is_ok());
-  EXPECT_FALSE(engine.execute_batch({BatchId(1), blocks(0, 1), {}}).is_ok());
-  EXPECT_EQ(
-      engine.execute_batch({BatchId(2), blocks(0, 1), {JobId(9)}}).code(),
-      StatusCode::kNotFound);
+  EXPECT_FALSE(engine.run_batch({BatchId(0), {}, {JobId(0)}}).is_ok());
+  EXPECT_FALSE(engine.run_batch({BatchId(1), blocks(0, 1), {}}).is_ok());
+  EXPECT_EQ(engine.run_batch({BatchId(2), blocks(0, 1), {JobId(9)}})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
   EXPECT_FALSE(engine.finalize_job(JobId(9)).is_ok());
 }
 
@@ -258,17 +259,21 @@ TEST_F(LocalEngineTest, TransientTaskFailuresAreRetried) {
   faulty.max_task_attempts = 3;
   std::mutex mu;
   std::map<std::uint64_t, int> attempts_seen;
-  faulty.failure_injector = [&](TaskId task, int attempt) {
+  faulty.fault_injector = [&](const TaskAttempt& attempt) {
     std::lock_guard<std::mutex> lock(mu);
-    attempts_seen[task.value()] = attempt;
-    return attempt == 1;  // first attempt of every task fails
+    attempts_seen[attempt.task.value()] = attempt.attempt;
+    Fault f;
+    if (attempt.attempt == 1) {
+      f.kind = FaultKind::kTransient;  // first attempt of every task fails
+    }
+    return f;
   };
   LocalEngine engine(ns_, store_, faulty);
   ASSERT_TRUE(engine
                   .register_job(
                       workloads::make_wordcount_job(JobId(0), file_, "a", 2))
                   .is_ok());
-  ASSERT_TRUE(engine.execute_batch({BatchId(0), blocks(0, 8), {JobId(0)}})
+  ASSERT_TRUE(engine.run_batch({BatchId(0), blocks(0, 8), {JobId(0)}})
                   .is_ok());
   EXPECT_EQ(engine.failed_attempts(), 8u + 2u);  // 8 map + 2 reduce tasks
 
@@ -286,8 +291,12 @@ TEST_F(LocalEngineTest, PermanentTaskFailureFailsTheBatch) {
   faulty.map_workers = 2;
   faulty.reduce_workers = 1;
   faulty.max_task_attempts = 2;
-  faulty.failure_injector = [](TaskId task, int) {
-    return task.value() == 0;  // the first task never succeeds
+  faulty.fault_injector = [](const TaskAttempt& attempt) {
+    Fault f;
+    if (attempt.task.value() == 0) {
+      f.kind = FaultKind::kTransient;  // the first task never succeeds
+    }
+    return f;
   };
   LocalEngine engine(ns_, store_, faulty);
   ASSERT_TRUE(engine
@@ -295,14 +304,14 @@ TEST_F(LocalEngineTest, PermanentTaskFailureFailsTheBatch) {
                       workloads::make_wordcount_job(JobId(0), file_, "a", 2))
                   .is_ok());
   const Status status =
-      engine.execute_batch({BatchId(0), blocks(0, 8), {JobId(0)}});
+      engine.run_batch({BatchId(0), blocks(0, 8), {JobId(0)}}).status();
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(engine.failed_attempts(), 2u);  // both attempts of task 0
 }
 
 TEST_F(LocalEngineTest, ThrowingMapperSurfacesAsInternalError) {
   // User code that throws must come back as a Status on the caller's thread
-  // (the pool captures the exception and execute_batch converts it), never
+  // (the pool captures the exception and run_batch converts it), never
   // kill a worker or terminate the process.
   class ThrowingMapper final : public Mapper {
    public:
@@ -315,14 +324,14 @@ TEST_F(LocalEngineTest, ThrowingMapperSurfacesAsInternalError) {
   spec.mapper_factory = [] { return std::make_unique<ThrowingMapper>(); };
   ASSERT_TRUE(engine.register_job(std::move(spec)).is_ok());
   const Status status =
-      engine.execute_batch({BatchId(0), blocks(0, 8), {JobId(0)}});
+      engine.run_batch({BatchId(0), blocks(0, 8), {JobId(0)}}).status();
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   // The engine is still usable for other jobs afterwards.
   ASSERT_TRUE(engine
                   .register_job(
                       workloads::make_wordcount_job(JobId(1), file_, "b", 2))
                   .is_ok());
-  EXPECT_TRUE(engine.execute_batch({BatchId(1), blocks(0, 8), {JobId(1)}})
+  EXPECT_TRUE(engine.run_batch({BatchId(1), blocks(0, 8), {JobId(1)}})
                   .is_ok());
 }
 
@@ -423,7 +432,7 @@ TEST_F(LocalEngineFailureTest, NodeDeathReDispatchesOnAReplica) {
                   .register_job(
                       workloads::make_wordcount_job(JobId(0), file, "a", 2))
                   .is_ok());
-  ASSERT_TRUE(clean.execute_batch({BatchId(0), all, {JobId(0)}}).is_ok());
+  ASSERT_TRUE(clean.run_batch({BatchId(0), all, {JobId(0)}}).is_ok());
   EXPECT_EQ(to_map(engine.finalize_job(JobId(0)).value()),
             to_map(clean.finalize_job(JobId(0)).value()));
 }
@@ -493,13 +502,64 @@ TEST_F(LocalEngineFailureTest, PoisonMemberIsQuarantinedAndSurvivorsCommit) {
   }
 }
 
+TEST_F(LocalEngineFailureTest, DataLossReadIsNotRetried) {
+  // A block whose stored checksum no longer matches is gone for good: the
+  // attempt loop reports kDataLoss after the first read instead of spending
+  // the remaining attempts on it.
+  ASSERT_TRUE(store_.corrupt_payload_for_test(blocks(0, 1).front()).is_ok());
+  LocalEngineOptions opts = workers(2, 1);
+  opts.max_task_attempts = 3;
+  LocalEngine engine(ns_, store_, opts);
+  ASSERT_TRUE(engine
+                  .register_job(
+                      workloads::make_wordcount_job(JobId(0), file_, "a", 2))
+                  .is_ok());
+  const auto outcome =
+      engine.run_batch({BatchId(0), blocks(0, 8), {JobId(0)}});
+  EXPECT_EQ(outcome.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(engine.failed_attempts(), 1u);
+}
+
+TEST_F(LocalEngineFailureTest, ReduceNodeDeathIsRecordedAndRetried) {
+  // A node that crashes under a reduce attempt is recorded as dead, and the
+  // attempt is re-run; reduce attempts name no node of their own, so only an
+  // explicit dead_node is recorded.
+  LocalEngineOptions opts = workers(2, 2);
+  opts.fault_injector = [](const TaskAttempt& attempt) {
+    Fault f;
+    if (!attempt.is_map && attempt.partition == 1 && attempt.attempt == 1) {
+      f.kind = FaultKind::kNodeDeath;
+      f.dead_node = NodeId(3);
+    }
+    return f;
+  };
+  LocalEngine engine(ns_, store_, opts);
+  ASSERT_TRUE(engine
+                  .register_job(
+                      workloads::make_wordcount_job(JobId(0), file_, "a", 2))
+                  .is_ok());
+  auto outcome = engine.run_batch({BatchId(0), blocks(0, 8), {JobId(0)}});
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().message();
+  EXPECT_EQ(outcome.value().nodes_died, std::vector<NodeId>{NodeId(3)});
+  EXPECT_TRUE(engine.node_is_dead(NodeId(3)));
+  EXPECT_EQ(engine.failed_attempts(), 1u);
+
+  auto result = engine.finalize_job(JobId(0));
+  ASSERT_TRUE(result.is_ok());
+  std::map<std::string, std::string> want;
+  for (const auto& [word, count] : reference_counts("a")) {
+    want[word] = std::to_string(count);
+  }
+  EXPECT_EQ(to_map(result.value()), want);
+}
+
 TEST_F(LocalEngineTest, JobWithNoMatchesProducesEmptyOutput) {
   LocalEngine engine(ns_, store_, workers(2, 1));
   ASSERT_TRUE(engine
                   .register_job(workloads::make_wordcount_job(
                       JobId(0), file_, "zzzzzzzzzz", 2))
                   .is_ok());
-  ASSERT_TRUE(engine.execute_batch({BatchId(0), blocks(0, 8), {JobId(0)}})
+  ASSERT_TRUE(engine.run_batch({BatchId(0), blocks(0, 8), {JobId(0)}})
                   .is_ok());
   auto result = engine.finalize_job(JobId(0));
   ASSERT_TRUE(result.is_ok());

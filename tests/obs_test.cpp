@@ -362,7 +362,7 @@ TEST_F(ObsTest, SharingGaugeReportsJobsPerPhysicalBlock) {
     jobs.push_back(JobId(j));
   }
   ASSERT_TRUE(
-      engine.execute_batch({BatchId(0), ns.file(file).blocks, jobs}).is_ok());
+      engine.run_batch({BatchId(0), ns.file(file).blocks, jobs}).is_ok());
 
   EXPECT_DOUBLE_EQ(
       Registry::instance().gauge("engine.sharing_efficiency").value(),

@@ -1,5 +1,5 @@
-// Tests for PinnedThreadPool: the work-stealing deques, the ThreadPool
-// exception contract it must preserve, worker identity, and the graceful
+// Tests for PinnedThreadPool: the work-stealing deques, the pool's
+// shutdown and exception contract, worker identity, and the graceful
 // degradation of core pinning.
 #include "common/pinned_thread_pool.h"
 
@@ -136,7 +136,7 @@ TEST(PinnedThreadPoolTest, WaitIdleCanBeReused) {
   }
 }
 
-// --- Exception contract (identical to ThreadPool) -----------------------
+// --- Exception contract -------------------------------------------------
 
 TEST(PinnedThreadPoolTest, TaskExceptionRethrownFromWaitIdle) {
   PinnedThreadPool pool(2);

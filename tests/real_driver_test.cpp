@@ -6,6 +6,7 @@
 #include <map>
 
 #include "core/real_driver.h"
+#include "sched/mrshare.h"
 #include "workloads/suite.h"
 #include "workloads/text_corpus.h"
 #include "workloads/tpch.h"
@@ -204,6 +205,58 @@ TEST_F(RealDriverTest, PriorityRespectedByFifo) {
     if (r.id == JobId(0)) c0 = r.completed;
   }
   EXPECT_LT(c2, c0);
+}
+
+// A time-window MRShare group opened by job 0 at t=0 must launch when its
+// window closes at 50, not when job 1 arrives at 1000; job 1 then opens its
+// own group and waits out its own window.
+void expect_window_batches_at_50_and_1050(const RealRunResult& result) {
+  EXPECT_EQ(result.batches_run, 2u);
+  std::map<JobId, SimTime> started;
+  for (const auto& record : result.job_records) {
+    started[record.id] = record.first_started;
+  }
+  EXPECT_DOUBLE_EQ(started.at(JobId(0)), 50.0);
+  EXPECT_DOUBLE_EQ(started.at(JobId(1)), 1050.0);
+}
+
+TEST_F(RealDriverTest, TimeWindowWakesBeforeNextArrival) {
+  engine::LocalEngine engine(ns_, store_, workers(2, 1));
+  RealDriver driver(ns_, engine, catalog_);
+  sched::MRShareScheduler window(catalog_, sched::TimeWindow{50.0}, "MRS-W");
+  std::vector<RealJob> jobs;
+  jobs.push_back(
+      {workloads::make_wordcount_job(JobId(0), file_, "a", 2), 0.0, 0});
+  jobs.push_back(
+      {workloads::make_wordcount_job(JobId(1), file_, "b", 2), 1000.0, 0});
+  auto result = driver.run(window, std::move(jobs));
+  ASSERT_TRUE(result.is_ok()) << result.status();
+  expect_window_batches_at_50_and_1050(result.value());
+}
+
+TEST_F(RealDriverTest, ServiceTimeWindowWakesBeforeNextRelease) {
+  service::SubmissionService service;
+  ASSERT_TRUE(service
+                  .register_tenant(TenantId(0), "tenant", service::TenantQuota{})
+                  .is_ok());
+  const std::pair<const char*, SimTime> submissions[] = {{"a", 0.0},
+                                                         {"b", 1000.0}};
+  for (std::uint64_t j = 0; j < 2; ++j) {
+    service::Submission s;
+    s.tenant = TenantId(0);
+    s.spec = workloads::make_wordcount_job(JobId(j), file_,
+                                           submissions[j].first, 2);
+    s.arrival = submissions[j].second;
+    ASSERT_TRUE(service.submit(s).admitted());
+  }
+  service.close();
+
+  engine::LocalEngine engine(ns_, store_, workers(2, 1));
+  RealDriver driver(ns_, engine, catalog_);
+  sched::MRShareScheduler window(catalog_, sched::TimeWindow{50.0}, "MRS-W");
+  auto result = driver.run_service(window, service);
+  ASSERT_TRUE(result.is_ok()) << result.status();
+  expect_window_batches_at_50_and_1050(result.value());
 }
 
 }  // namespace

@@ -393,6 +393,17 @@ TEST(S3LintRules, RawThreadInCommonClean) {
   EXPECT_FALSE(has_rule(vs, "raw-thread"));
 }
 
+TEST(S3LintRules, RawThreadInOtherCommonFileFlagged) {
+  // Only the pool's own files are exempt: a second pool (or any other raw
+  // thread) elsewhere in src/common/ is flagged.
+  const auto vs = lint("src/common/logging.cpp",
+                       "void f() {\n"
+                       "  std::thread worker([] {});\n"
+                       "  worker.join();\n"
+                       "}\n");
+  EXPECT_TRUE(has_rule(vs, "raw-thread"));
+}
+
 TEST(S3LintRules, RawThreadOutsideSrcClean) {
   const auto vs = lint("tests/pool_test.cpp",
                        "void f() {\n"

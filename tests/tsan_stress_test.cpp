@@ -311,7 +311,7 @@ TEST(TsanStressTest, MixedSchedulersOversubscribedSlots) {
 }
 
 TEST(TsanStressTest, ConcurrentBatchesOverDisjointJobs) {
-  // Two threads drive execute_batch concurrently on the same engine with
+  // Two threads drive run_batch concurrently on the same engine with
   // disjoint job sets — the engine's leaf lock, the shuffle registry, and
   // the shared thread pools all see simultaneous waves.
   StressWorld world;
@@ -339,7 +339,7 @@ TEST(TsanStressTest, ConcurrentBatchesOverDisjointJobs) {
         batch.id = BatchId(t * kJobsPerThread + j);
         batch.blocks = blocks;
         batch.jobs = {id};
-        if (!engine.execute_batch(batch).is_ok()) ++failures;
+        if (!engine.run_batch(batch).is_ok()) ++failures;
       }
     });
   }
