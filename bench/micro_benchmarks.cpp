@@ -9,7 +9,7 @@
 #include "common/pinned_thread_pool.h"
 #include "engine/arena_pool.h"
 #include "core/s3.h"
-#include "workloads/tokenize.h"
+#include "dfs/tokenize.h"
 
 namespace {
 
@@ -185,29 +185,14 @@ void BM_MapRunnerEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_MapRunnerEndToEnd)->Arg(1)->Arg(4)->Arg(10);
 
-// The merged-task cost model on one thread: one 1 MiB block scanned once for
-// n heavy wordcount members (amplify 2) with p reduce partitions each, arenas
-// recycled through a BatchArenaPool as the engine does. Args are
-// {members, partitions}; s_per_member is task time divided by members, so a
-// merged task that costs what its members' solo tasks cost reads the same
-// at 10 members as at 1.
-void BM_MapRunnerHeavy(benchmark::State& state) {
-  const std::int64_t members = state.range(0);
-  const auto partitions = static_cast<std::uint32_t>(state.range(1));
-  dfs::BlockStore store;
-  workloads::TextCorpusGenerator corpus;
-  S3_CHECK(store.put(BlockId(0), corpus.generate_block(0, ByteSize(1 << 20)))
-               .is_ok());
-  dfs::StoredBlocks source(store);
-
-  std::vector<engine::JobSpec> specs;
-  specs.reserve(static_cast<std::size_t>(members));
-  for (std::int64_t j = 0; j < members; ++j) {
-    specs.push_back(workloads::make_heavy_wordcount_job(
-        JobId(static_cast<std::uint64_t>(j)), FileId(0), 2, partitions));
-  }
+// Runs one map task over block 0 of `source` for all of `specs` per
+// iteration, on one thread, with arenas recycled through a BatchArenaPool as
+// the engine does. s_per_member is task time divided by members, so a merged
+// task that costs what its members' solo tasks cost reads the same at 10
+// members as at 1.
+void run_member_tasks(benchmark::State& state, const dfs::BlockSource& source,
+                      const std::vector<engine::JobSpec>& specs) {
   engine::BatchArenaPool arenas(1);
-
   for (auto _ : state) {
     engine::ShuffleStore shuffle;
     for (const auto& spec : specs) {
@@ -224,7 +209,7 @@ void BM_MapRunnerHeavy(benchmark::State& state) {
     benchmark::DoNotOptimize(outcome);
     // Hand the published runs back to the pool, as a reduce task would.
     for (const auto& spec : specs) {
-      for (std::uint32_t p = 0; p < partitions; ++p) {
+      for (std::uint32_t p = 0; p < spec.num_reduce_tasks; ++p) {
         for (auto& run : shuffle.take(spec.id, p)) {
           arenas.release(0, std::move(run));
         }
@@ -232,13 +217,62 @@ void BM_MapRunnerHeavy(benchmark::State& state) {
     }
   }
   state.counters["s_per_member"] = benchmark::Counter(
-      static_cast<double>(members),
+      static_cast<double>(specs.size()),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
+}
+
+// The merged-task cost model for heavy wordcount: one 1 MiB block scanned
+// once for n heavy members (amplify 2) with p reduce partitions each. Args
+// are {members, partitions}.
+void BM_MapRunnerHeavy(benchmark::State& state) {
+  const std::int64_t members = state.range(0);
+  const auto partitions = static_cast<std::uint32_t>(state.range(1));
+  dfs::BlockStore store;
+  workloads::TextCorpusGenerator corpus;
+  S3_CHECK(store.put(BlockId(0), corpus.generate_block(0, ByteSize(1 << 20)))
+               .is_ok());
+  dfs::StoredBlocks source(store);
+
+  std::vector<engine::JobSpec> specs;
+  specs.reserve(static_cast<std::size_t>(members));
+  for (std::int64_t j = 0; j < members; ++j) {
+    specs.push_back(workloads::make_heavy_wordcount_job(
+        JobId(static_cast<std::uint64_t>(j)), FileId(0), 2, partitions));
+  }
+  run_member_tasks(state, source, specs);
 }
 BENCHMARK(BM_MapRunnerHeavy)
     ->ArgsProduct({{1, 10}, {1, 8, 32}})
     ->Unit(benchmark::kMillisecond);
+
+// The same for the prefix wordcount of the sparse_wordcount and s3d_poisson
+// ledger workloads: one 1 MiB block scanned once for n members with the
+// one-letter prefixes a, b, c, ..., combiner on, 8 reduce partitions each.
+// Prefixes match different shares of the words, so s_per_member at 10
+// members also averages over prefixes. Bytes/s counts the block once per
+// task.
+void BM_MapRunnerPrefix(benchmark::State& state) {
+  const std::int64_t members = state.range(0);
+  dfs::BlockStore store;
+  workloads::TextCorpusGenerator corpus;
+  const std::string block = corpus.generate_block(0, ByteSize(1 << 20));
+  S3_CHECK(store.put(BlockId(0), block).is_ok());
+  dfs::StoredBlocks source(store);
+
+  std::vector<engine::JobSpec> specs;
+  specs.reserve(static_cast<std::size_t>(members));
+  for (std::int64_t j = 0; j < members; ++j) {
+    specs.push_back(workloads::make_wordcount_job(
+        JobId(static_cast<std::uint64_t>(j)), FileId(0),
+        std::string(1, static_cast<char>('a' + j % 26)), 8,
+        /*with_combiner=*/true));
+  }
+  run_member_tasks(state, source, specs);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(BM_MapRunnerPrefix)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 
 // Same map-side data path fanned out over the work-stealing pool: one block
 // per map task, `workers` pinned-pool workers, arena pool recycling batches
@@ -335,24 +369,24 @@ BENCHMARK(BM_PinnedPoolSubmit)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 // Tokenizer scan throughput per mode over corpus text. Arg 0 = scalar
 // oracle, 1 = SWAR, 2 = SSE2 (falls back to SWAR where unavailable).
 void BM_Tokenize(benchmark::State& state) {
-  const workloads::TokenizeMode mode =
-      state.range(0) == 0   ? workloads::TokenizeMode::kScalar
-      : state.range(0) == 1 ? workloads::TokenizeMode::kSwar
-                            : workloads::TokenizeMode::kSimd;
+  const dfs::TokenizeMode mode =
+      state.range(0) == 0   ? dfs::TokenizeMode::kScalar
+      : state.range(0) == 1 ? dfs::TokenizeMode::kSwar
+                            : dfs::TokenizeMode::kSimd;
   workloads::TextCorpusGenerator corpus;
   const std::string text = corpus.generate_block(0, ByteSize(256 << 10));
-  workloads::set_tokenize_mode(mode);
+  dfs::set_tokenize_mode(mode);
   for (auto _ : state) {
     std::uint64_t words = 0;
     std::uint64_t bytes = 0;
-    workloads::for_each_word(text, [&](std::string_view w) {
+    dfs::for_each_word(text, [&](std::string_view w) {
       ++words;
       bytes += w.size();
     });
     benchmark::DoNotOptimize(words);
     benchmark::DoNotOptimize(bytes);
   }
-  workloads::set_tokenize_mode(workloads::TokenizeMode::kAuto);
+  dfs::set_tokenize_mode(dfs::TokenizeMode::kAuto);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(text.size()));
 }

@@ -28,7 +28,8 @@
 #                                    captured trace
 #   scripts/check.sh --bench-smoke   run the locality-engine micro-benchmarks
 #                                    (pinned pool, tokenizer, threaded map
-#                                    path) once each, fail on zero throughput
+#                                    path, prefix-wordcount map task) once
+#                                    each, fail on zero throughput
 #                                    or a benchmark error, and re-check the
 #                                    5% trace-overhead budget
 #   scripts/check.sh --flight        flight-recorder smoke: crash the
@@ -209,10 +210,16 @@ for mode in "${MODES[@]}"; do
       cmake --build build -j --target micro_benchmarks
       # One pass over every new engine benchmark; CSV columns are
       # name,iterations,real_time,cpu_time,unit,bytes/s,items/s,label,err,...
-      # Every row must report a positive throughput and no error.
-      ./build/bench/micro_benchmarks \
-        --benchmark_filter='BM_(PinnedPoolSubmit|Tokenize|MapRunnerEndToEndThreads|ShuffleSortAndGroup)' \
-        --benchmark_min_time=0.01 --benchmark_format=csv 2> /dev/null \
+      # Every row must report a positive throughput and no error. The CSV
+      # reporter aborts on a run that mixes benchmarks with and without
+      # user counters, so BM_MapRunnerPrefix (s_per_member) runs apart.
+      for filter in \
+        'BM_(PinnedPoolSubmit|Tokenize|MapRunnerEndToEndThreads|ShuffleSortAndGroup)' \
+        'BM_MapRunnerPrefix'; do
+        ./build/bench/micro_benchmarks --benchmark_filter="${filter}" \
+          --benchmark_min_time=0.01 --benchmark_format=csv 2> /dev/null \
+          || exit 1
+      done \
         | awk -F, '
           /^"?BM_/ {
             rows++

@@ -1,8 +1,9 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) over arbitrary bytes. Used by
 // the DFS BlockStore to checksum every block payload at write time and verify
 // it on every read, so silent corruption surfaces as kDataLoss instead of
-// wrong answers. Table-driven, one byte per step — plenty for the in-memory
-// store, and dependency-free.
+// wrong answers. Table-driven, one byte per step, and dependency-free. It is
+// not cheap: BlockStore::get runs it over every fetched block, and the
+// e2e_ledger puts it at 19–40% of map-task busy time.
 #pragma once
 
 #include <array>

@@ -3,7 +3,7 @@
 #include <charconv>
 
 #include "common/status.h"
-#include "workloads/tokenize.h"
+#include "dfs/reader.h"
 
 namespace s3::workloads {
 namespace {
@@ -23,7 +23,7 @@ PatternWordCountMapper::PatternWordCountMapper(std::string prefix)
 
 void PatternWordCountMapper::map(const dfs::Record& record,
                                  engine::Emitter& out) {
-  for_each_word(record.data, [&](std::string_view word) {
+  dfs::for_each_word(record, [&](std::string_view word) {
     if (word.size() >= prefix_.size() &&
         word.substr(0, prefix_.size()) == prefix_) {
       out.emit(word, "1");
@@ -37,7 +37,7 @@ HeavyWordCountMapper::HeavyWordCountMapper(int amplify) : amplify_(amplify) {
 
 void HeavyWordCountMapper::map(const dfs::Record& record,
                                engine::Emitter& out) {
-  for_each_word(record.data, [&](std::string_view word) {
+  dfs::for_each_word(record, [&](std::string_view word) {
     out.emit(word, "1");
     if (amplify_ <= 1) return;
     // Tagged duplicates create distinct keys, inflating reduce output the

@@ -2,7 +2,9 @@
 // words matching a user-specified pattern, so different patterns make
 // different jobs over the same input. The heavy variant counts every word
 // and amplifies its output, mirroring the paper's "10x map output, 200x
-// reduce output" configuration.
+// reduce output" configuration. Both read a record's words through
+// dfs::for_each_word(record), so the members of a merged map task share one
+// split of each record (dfs/reader.h).
 #pragma once
 
 #include <string>

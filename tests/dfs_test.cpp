@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "dfs/block_store.h"
 #include "dfs/dfs_namespace.h"
 #include "dfs/placement.h"
@@ -394,6 +397,89 @@ TEST(SharedScanReaderTest, EmptyBlockDeliversNoChunk) {
   reader.add_consumer([&](RecordChunk) { ++calls; });
   EXPECT_EQ(reader.scan(), 0u);
   EXPECT_EQ(calls, 0);
+}
+
+// multi_chunk_block() with about a quarter of its bytes turned into spaces:
+// words of every length, leading, trailing and repeated spaces, and lines
+// of spaces only.
+std::string spaced_multi_chunk_block() {
+  std::string text = multi_chunk_block();
+  Rng rng(7);
+  for (char& c : text) {
+    if (c != '\n' && rng.uniform_u64(4) == 0) c = ' ';
+  }
+  return text;
+}
+
+using Words = std::vector<std::string>;
+
+TEST(SharedScanReaderTest, ConsumersShareOneWordSplitPerChunk) {
+  auto payload = std::make_shared<const std::string>(spaced_multi_chunk_block());
+  // The oracle: each record split on its own by the scalar tokenizer.
+  std::vector<Words> expected;
+  set_tokenize_mode(TokenizeMode::kScalar);
+  LineRecordReader line_reader(payload);
+  Record r;
+  while (line_reader.next(r)) {
+    Words& words = expected.emplace_back();
+    for_each_word(r.data, [&](std::string_view w) { words.emplace_back(w); });
+  }
+  set_tokenize_mode(TokenizeMode::kAuto);
+
+  SharedScanReader reader(payload);
+  std::vector<const ChunkWords*> tables;  // one per chunk
+  std::vector<std::vector<Words>> seen(2);
+  for (int c = 0; c < 2; ++c) {
+    reader.add_consumer([&, c](RecordChunk chunk) {
+      const ChunkWords* table = chunk.front().words;
+      ASSERT_NE(table, nullptr);
+      if (c == 0) {
+        // The first consumer to ask splits the chunk; the second reads
+        // that split.
+        EXPECT_FALSE(table->is_split());
+        tables.push_back(table);
+      } else {
+        EXPECT_EQ(table, tables.back());
+        EXPECT_TRUE(table->is_split());
+      }
+      for (const Record& rec : chunk) {
+        EXPECT_EQ(rec.words, table);
+        Words& words = seen[c].emplace_back();
+        for_each_word(rec, [&](std::string_view w) { words.emplace_back(w); });
+      }
+    });
+  }
+  EXPECT_EQ(reader.scan(), expected.size());
+  EXPECT_GT(tables.size(), 3u);
+  EXPECT_EQ(seen[0], expected);
+  EXPECT_EQ(seen[1], expected);
+
+  // The split is lazy: consumers that never ask for words never split.
+  SharedScanReader silent(payload);
+  int split_seen = 0;
+  for (int c = 0; c < 2; ++c) {
+    silent.add_consumer([&](RecordChunk chunk) {
+      ASSERT_NE(chunk.front().words, nullptr);
+      if (chunk.front().words->is_split()) ++split_seen;
+    });
+  }
+  silent.scan();
+  EXPECT_EQ(split_seen, 0);
+
+  // A lone consumer's records carry no table and split on their own.
+  SharedScanReader solo(payload);
+  int with_table = 0;
+  std::vector<Words> solo_seen;
+  solo.add_consumer([&](RecordChunk chunk) {
+    for (const Record& rec : chunk) {
+      if (rec.words != nullptr) ++with_table;
+      Words& words = solo_seen.emplace_back();
+      for_each_word(rec, [&](std::string_view w) { words.emplace_back(w); });
+    }
+  });
+  solo.scan();
+  EXPECT_EQ(with_table, 0);
+  EXPECT_EQ(solo_seen, expected);
 }
 
 TEST(SplitFieldsTest, TpchRow) {

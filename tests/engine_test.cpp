@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "dfs/block_store.h"
 #include "dfs/reader.h"
+#include "dfs/tokenize.h"
 #include "engine/kv.h"
 #include "engine/map_runner.h"
 #include "engine/reduce_runner.h"
@@ -349,6 +350,111 @@ TEST(MergedMapTaskTest, EqualsSoloTasksAcrossChunkBoundaries) {
     EXPECT_EQ(m.counters, s.counters) << spec->name;
     EXPECT_EQ(m.partitions, s.partitions) << spec->name;
     EXPECT_GT(m.counters[2], 0u) << spec->name;  // map_output_records
+  }
+}
+
+// A wordcount block of several scan chunks with irregular spacing: leading,
+// trailing and repeated spaces, lines of spaces only, an empty line that
+// closes the first chunk, and a record longer than a chunk.
+std::string irregularly_spaced_block() {
+  static constexpr std::string_view kWords[] = {"the", "t",   "to", "tt",
+                                                "cat", "a",   "mat"};
+  Rng rng(23);
+  auto spaces = [&](std::uint64_t most) {
+    return std::string(rng.uniform_u64(most + 1), ' ');
+  };
+  auto line = [&](std::size_t words) {
+    std::string out = spaces(2);
+    for (std::size_t w = 0; w < words; ++w) {
+      if (w > 0) out += ' ' + spaces(2);
+      const std::uint64_t pick = rng.uniform_u64(14);
+      out += pick < 7 ? std::string(kWords[pick])
+                      : "t" + std::to_string(rng.uniform_u64(300));
+    }
+    return out + spaces(2);
+  };
+  std::string text;
+  while (text.size() + 100 < dfs::kScanChunkBytes) text += line(8) + '\n';
+  text += "      \n";
+  // A line that ends one byte short of a chunk, so the empty line after it
+  // closes the chunk.
+  text += "t" + std::string(dfs::kScanChunkBytes - text.size() - 4, ' ') +
+          "t\n\n";
+  text += "   \n" + line(1500) + '\n';
+  for (int i = 0; i < 400; ++i) {
+    text += (i % 37 == 0 ? std::string("  ") : line(1 + i % 12)) + '\n';
+  }
+  text += line(5);
+  return text;
+}
+
+// Reads record.data and never asks for words: one row per record, keyed on
+// the record's length.
+class RecordLengthMapper final : public Mapper {
+ public:
+  void map(const dfs::Record& record, Emitter& out) override {
+    out.emit(std::to_string(record.data.size()), "1");
+  }
+};
+
+TEST(MergedMapTaskTest, SharedSplitEqualsSoloUnderEveryTokenizeMode) {
+  const std::string text = irregularly_spaced_block();
+  {
+    // The block has the shape the test is about.
+    dfs::SharedScanReader reader(std::make_shared<const std::string>(text));
+    std::vector<std::vector<std::string>> chunks;
+    reader.add_consumer([&](dfs::RecordChunk chunk) {
+      std::vector<std::string>& records = chunks.emplace_back();
+      for (const dfs::Record& r : chunk) records.emplace_back(r.data);
+    });
+    reader.scan();
+    ASSERT_GE(chunks.size(), 4u);
+    EXPECT_EQ(chunks[0].back(), "");
+    EXPECT_EQ(chunks[1].front(), "   ");
+    EXPECT_GT(chunks[1].back().size(), dfs::kScanChunkBytes);
+    EXPECT_EQ(chunks[1].back().front(), ' ');
+    EXPECT_NE(text.back(), '\n');
+  }
+
+  dfs::BlockStore store;
+  ASSERT_TRUE(store.put(BlockId(0), text).is_ok());
+  dfs::StoredBlocks source(store);
+  const JobSpec heavy =
+      workloads::make_heavy_wordcount_job(JobId(0), FileId(0), 2, 4);
+  const JobSpec prefix =
+      workloads::make_wordcount_job(JobId(1), FileId(0), "t", 4, true);
+  const JobSpec wide =
+      workloads::make_wordcount_job(JobId(2), FileId(0), "", 8, false);
+  JobSpec lengths;
+  lengths.id = JobId(3);
+  lengths.name = "record-lengths";
+  lengths.mapper_factory = [] { return std::make_unique<RecordLengthMapper>(); };
+  lengths.reducer_factory = [] {
+    return std::make_unique<workloads::SumReducer>();
+  };
+  lengths.num_reduce_tasks = 2;
+  const std::vector<const JobSpec*> members = {&heavy, &prefix, &wide,
+                                               &lengths};
+
+  struct RestoreAutoMode {
+    ~RestoreAutoMode() { dfs::set_tokenize_mode(dfs::TokenizeMode::kAuto); }
+  } restore;
+  for (const dfs::TokenizeMode mode :
+       {dfs::TokenizeMode::kScalar, dfs::TokenizeMode::kSwar,
+        dfs::TokenizeMode::kSimd}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    dfs::set_tokenize_mode(mode);
+    const auto merged = run_map_task(source, members);
+    for (const JobSpec* spec : members) {
+      const auto solo = run_map_task(source, {spec});
+      ASSERT_EQ(merged.count(spec->id.value()), 1u);
+      ASSERT_EQ(solo.count(spec->id.value()), 1u);
+      const MemberOutput& m = merged.at(spec->id.value());
+      const MemberOutput& s = solo.at(spec->id.value());
+      EXPECT_EQ(m.counters, s.counters) << spec->name;
+      EXPECT_EQ(m.partitions, s.partitions) << spec->name;
+      EXPECT_GT(m.counters[2], 0u) << spec->name;  // map_output_records
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 // produces — unit-level on adversarial and fuzzed strings, and end-to-end
 // through the full engine under all three schedulers (FIFO, MRShare, S3),
 // where a single divergent token boundary would change wordcount output.
-#include "workloads/tokenize.h"
+#include "dfs/tokenize.h"
 
 #include <gtest/gtest.h>
 
@@ -21,21 +21,20 @@
 namespace s3 {
 namespace {
 
-using workloads::TokenizeMode;
+using dfs::TokenizeMode;
 
 std::vector<std::string> tokens(std::string_view line, TokenizeMode mode) {
-  workloads::set_tokenize_mode(mode);
+  dfs::set_tokenize_mode(mode);
   std::vector<std::string> out;
-  workloads::for_each_word(line,
-                           [&](std::string_view w) { out.emplace_back(w); });
-  workloads::set_tokenize_mode(TokenizeMode::kAuto);
+  dfs::for_each_word(line, [&](std::string_view w) { out.emplace_back(w); });
+  dfs::set_tokenize_mode(TokenizeMode::kAuto);
   return out;
 }
 
 class TokenizeTest : public ::testing::Test {
  protected:
   ~TokenizeTest() override {
-    workloads::set_tokenize_mode(TokenizeMode::kAuto);
+    dfs::set_tokenize_mode(TokenizeMode::kAuto);
   }
 };
 
@@ -103,8 +102,8 @@ TEST_F(TokenizeTest, FuzzedLinesMatchScalarOracle) {
 }
 
 TEST_F(TokenizeTest, AutoResolvesToAWideMode) {
-  workloads::set_tokenize_mode(TokenizeMode::kAuto);
-  const TokenizeMode effective = workloads::effective_tokenize_mode();
+  dfs::set_tokenize_mode(TokenizeMode::kAuto);
+  const TokenizeMode effective = dfs::effective_tokenize_mode();
   EXPECT_NE(effective, TokenizeMode::kAuto);
   EXPECT_NE(effective, TokenizeMode::kScalar);
 }
@@ -136,7 +135,7 @@ struct World {
 
 std::unordered_map<JobId, engine::JobResult> run_wordcount_mix(
     World& world, const char* scheme, TokenizeMode mode) {
-  workloads::set_tokenize_mode(mode);
+  dfs::set_tokenize_mode(mode);
   std::unique_ptr<sched::Scheduler> scheduler;
   if (scheme[0] == 'f') {
     scheduler = workloads::make_fifo(world.catalog);
@@ -162,7 +161,7 @@ std::unordered_map<JobId, engine::JobResult> run_wordcount_mix(
       {workloads::make_heavy_wordcount_job(JobId(2), world.text_file, 2, 2),
        1.0, 0});
   auto run = driver.run(*scheduler, std::move(jobs));
-  workloads::set_tokenize_mode(TokenizeMode::kAuto);
+  dfs::set_tokenize_mode(TokenizeMode::kAuto);
   EXPECT_TRUE(run.is_ok()) << scheme << ": " << run.status();
   return std::move(run.value().outputs);
 }
