@@ -12,10 +12,10 @@
 // "never", so the original slow-node-only behavior is unchanged unless a
 // caller opts in.
 //
-// Thread safety: all public methods are safe to call concurrently. The
-// engine's on_node_death hook fires from worker threads while the scheduler
-// sweeps from its own, so the tracker serializes on an internal
-// kClusterHeartbeat-ranked mutex (a leaf: no lock is acquired under it).
+// Thread safety: all public methods are safe to call concurrently (a caller
+// may report from one thread while the scheduler sweeps from another), so
+// the tracker serializes on an internal kClusterHeartbeat-ranked mutex (a
+// leaf: no lock is acquired under it).
 #pragma once
 
 #include <optional>

@@ -8,8 +8,8 @@
 //   kTransient — the attempt fails once (lost container, flaky RPC); the
 //                retry loop re-runs it, up to max_task_attempts.
 //   kHang      — the attempt wedges; the hung-task watchdog abandons it
-//                after hung_task_timeout_s and re-attempts with exponential
-//                backoff. (The engine models the timeout and backoff as
+//                after kHungTaskTimeoutS (local_engine.cpp) and re-attempts
+//                with exponential backoff. (The engine models the timeout and backoff as
 //                bookkeeping in the journal — tests must never sleep.)
 //   kNodeDeath — the node executing the attempt crashes, taking the attempt
 //                with it; the engine marks the node dead (ReplicaHealth +

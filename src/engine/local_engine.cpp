@@ -15,6 +15,14 @@
 namespace s3::engine {
 namespace {
 
+// Hung-task watchdog: how long an attempt may run before it is declared hung
+// and abandoned, and the base of the exponential backoff before the
+// re-attempt. Both are modeled (journaled) times — the engine never sleeps;
+// injected hangs are abandoned immediately with the would-be timings
+// recorded.
+constexpr double kHungTaskTimeoutS = 30.0;
+constexpr double kRetryBackoffBaseS = 0.5;
+
 // Zero-worker options are rejected by run_batch, not the constructor: clamp
 // the pools so the misconfigured engine can still report invalid_argument.
 std::unique_ptr<PinnedThreadPool> make_pool(std::size_t workers,
@@ -137,7 +145,6 @@ void LocalEngine::record_node_death(NodeId node, WaveCtx& ctx) {
     MutexLock lock(ctx.mu);
     ctx.died.push_back(node);
   }
-  if (options_.on_node_death) options_.on_node_death(node);
 }
 
 Fault LocalEngine::decide_fault(
@@ -188,7 +195,7 @@ void LocalEngine::note_attempt_failure(const TaskAttempt& attempt,
     hung.node = attempt.node;
     hung.job = attempt.job;
     std::ostringstream detail;
-    detail << ident.str() << ",timeout_s=" << options_.hung_task_timeout_s;
+    detail << ident.str() << ",timeout_s=" << kHungTaskTimeoutS;
     hung.detail = detail.str();
     journal.record(std::move(hung));
   }
@@ -207,7 +214,7 @@ void LocalEngine::note_attempt_failure(const TaskAttempt& attempt,
   retry.job = attempt.job;
   // The watchdog models the backoff: it is journaled, never slept.
   const double backoff =
-      options_.retry_backoff_base_s *
+      kRetryBackoffBaseS *
       std::pow(2.0, static_cast<double>(attempt.attempt - 1));
   std::ostringstream detail;
   detail << ident.str() << ",next_attempt=" << attempt.attempt + 1
@@ -362,8 +369,8 @@ StatusOr<Outcome> LocalEngine::run_attempts(
           break;
         }
         case FaultKind::kHang:
-          os << phase << " attempt exceeded the "
-             << options_.hung_task_timeout_s << "s hung-task timeout";
+          os << phase << " attempt exceeded the " << kHungTaskTimeoutS
+             << "s hung-task timeout";
           outcome = Status::unavailable(os.str());
           break;
         case FaultKind::kPoison:

@@ -18,7 +18,6 @@
 // surviving members instead of failing them all.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -74,17 +73,6 @@ struct LocalEngineOptions {
   // registry stops serving from the dead node) and map dispatch skips dead
   // replicas. When null the engine keeps a private dead-node set.
   dfs::ReplicaHealth* replica_health = nullptr;
-  // Invoked (from a worker thread — must be thread-safe) the moment a node
-  // death is first observed. Drivers that need the scheduler informed should
-  // prefer BatchOutcome::nodes_died, which is delivered on their own thread.
-  std::function<void(NodeId)> on_node_death;
-  // Hung-task watchdog: how long an attempt may run before it is declared
-  // hung and abandoned, and the base of the exponential backoff before the
-  // re-attempt. Both are modeled (journaled) times — the engine never
-  // sleeps; injected hangs are abandoned immediately with the would-be
-  // timings recorded.
-  double hung_task_timeout_s = 30.0;
-  double retry_backoff_base_s = 0.5;
   // Record representation + grouping algorithm (see shuffle.h). kLegacySort
   // is the differential-testing oracle, not a production choice.
   DataPath data_path = DataPath::kFlatBatch;
@@ -202,8 +190,9 @@ class LocalEngine {
   void note_attempt_failure(const TaskAttempt& attempt, FaultKind kind,
                             const std::string& cause, bool will_retry)
       S3_EXCLUDES(mu_);
-  // Marks a node dead (shared registry or private set); records first
-  // observations in ctx and fires on_node_death.
+  // Marks a node dead (shared registry or private set) and records first
+  // observations in ctx, which run_batch reports as
+  // BatchOutcome::nodes_died.
   void record_node_death(NodeId node, WaveCtx& ctx) S3_EXCLUDES(mu_);
   // First live replica of the block (invalid without replica metadata).
   [[nodiscard]] NodeId pick_replica(BlockId block) const S3_EXCLUDES(mu_);

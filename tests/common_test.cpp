@@ -1,13 +1,17 @@
 // Unit tests for src/common: IDs, Status/StatusOr, RNG, byte sizes, strings,
-// statistics, flags.
+// statistics, flags, CRC-32.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/bounded_deque.h"
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -357,6 +361,51 @@ TEST(BoundedDequeTest, ShrinkingCapacityKeepsExistingItems) {
   (void)d.pop_front();
   (void)d.pop_front();
   EXPECT_TRUE(d.push_back(9));
+}
+
+// Bit-at-a-time CRC-32 (reflected IEEE polynomial, no table): the oracle
+// for any faster s3::crc32.
+std::uint32_t crc32_bitwise(std::string_view data) {
+  std::uint32_t crc = 0xffffffffU;
+  for (const char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1U) != 0 ? 0xedb88320U : 0U);
+    }
+  }
+  return crc ^ 0xffffffffU;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  // Check values from zlib.crc32.
+  EXPECT_EQ(crc32(""), 0x00000000U);
+  EXPECT_EQ(crc32("a"), 0xe8b7be43U);
+  EXPECT_EQ(crc32("abc"), 0x352441c2U);
+  EXPECT_EQ(crc32("123456789"), 0xcbf43926U);
+  EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog"), 0x414fa339U);
+}
+
+TEST(Crc32Test, MatchesBitwiseReference) {
+  constexpr std::size_t kMaxLength = 64 * 1024;
+  Rng rng(0xc5c32);
+  std::string buffer(kMaxLength + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.next() & 0xffU);
+  // Every short length at every start offset 0-7 (alignment and tail
+  // handling), then random lengths up to 64 KiB.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(crc32(data), crc32_bitwise(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  for (int i = 0; i < 32; ++i) {
+    const std::size_t offset = rng.uniform_u64(8);
+    const std::size_t length = rng.uniform_u64(kMaxLength + 1);
+    const std::string_view data(buffer.data() + offset, length);
+    ASSERT_EQ(crc32(data), crc32_bitwise(data))
+        << "offset " << offset << " length " << length;
+  }
 }
 
 }  // namespace

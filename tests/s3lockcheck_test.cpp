@@ -126,6 +126,24 @@ TEST(LockcheckModel, OwnGuardWaitIsMarked) {
   EXPECT_TRUE(found);
 }
 
+TEST(LockcheckModel, ParamTypesSeeThroughTemplates) {
+  // Parameters are typed like members: the last class-ish identifier at any
+  // template depth, so a lock reached through `q->mu` resolves via Queue.
+  const FileModel fm = extract(
+      "void Engine::merge(const std::vector<KVBatch>& runs, "
+      "std::unique_ptr<Queue>& q, Bucket* b) {}\n");
+  ASSERT_EQ(fm.functions.size(), 1u);
+  const FunctionModel& fn = fm.functions[0];
+  EXPECT_EQ(fn.display, "Engine::merge");
+  ASSERT_EQ(fn.params.size(), 3u);
+  EXPECT_EQ(fn.params[0].type, "KVBatch");
+  EXPECT_EQ(fn.params[0].name, "runs");
+  EXPECT_EQ(fn.params[1].type, "Queue");
+  EXPECT_EQ(fn.params[1].name, "q");
+  EXPECT_EQ(fn.params[2].type, "Bucket");
+  EXPECT_EQ(fn.params[2].name, "b");
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fixture trees
 
@@ -390,6 +408,63 @@ TEST_F(LockcheckFixture, SuppressionSilencesFinding) {
         "};\n");
   std::string output;
   EXPECT_EQ(run(&output, {"blocking-under-lock"}), 0) << output;
+}
+
+TEST_F(LockcheckFixture, OtherToolsSuppressionTagDoesNotSilence) {
+  // Each analyzer honors only its own tag: an s3viewcheck comment naming
+  // this rule is not an s3lockcheck suppression.
+  write("src/lock_rank.h", rank_header());
+  write("src/block.h",
+        "#pragma once\n"
+        "class ThreadPool {\n"
+        " public:\n"
+        "  void submit();\n"
+        "};\n"
+        "class Driver {\n"
+        " public:\n"
+        "  void bad() {\n"
+        "    MutexLock lock(mu_);\n"
+        "    // s3viewcheck: disable(blocking-under-lock)\n"
+        "    pool_->submit();\n"
+        "  }\n"
+        " private:\n"
+        "  AnnotatedMutex mu_{LockRank::kOuter};\n"
+        "  ThreadPool* pool_;\n"
+        "};\n");
+  std::string output;
+  EXPECT_EQ(run(&output, {"blocking-under-lock"}), 1) << output;
+  EXPECT_NE(output.find("Driver::bad"), std::string::npos) << output;
+}
+
+TEST_F(LockcheckFixture, LockThroughTemplateWrappedParamResolves) {
+  // `mu` names two locks in one file, so only q's parameter type can say
+  // which one `q->mu` is; seen through unique_ptr it is Queue::mu.
+  write("src/lock_rank.h", rank_header());
+  write("src/param.h",
+        "#pragma once\n"
+        "class Queue {\n"
+        " public:\n"
+        "  AnnotatedMutex mu{LockRank::kInner};\n"
+        "};\n"
+        "class Other {\n"
+        " public:\n"
+        "  AnnotatedMutex mu{LockRank::kInner};\n"
+        "};\n"
+        "class User {\n"
+        " public:\n"
+        "  void take(std::unique_ptr<Queue>& q) {\n"
+        "    MutexLock inner(q->mu);\n"
+        "    MutexLock outer(mu_);\n"
+        "  }\n"
+        " private:\n"
+        "  AnnotatedMutex mu_{LockRank::kOuter};\n"
+        "};\n");
+  std::string output;
+  EXPECT_EQ(run(&output, {"rank-order"}), 1) << output;
+  EXPECT_NE(output.find("User::mu_ (kOuter = 10) acquired while holding "
+                        "Queue::mu (kInner = 30)"),
+            std::string::npos)
+      << output;
 }
 
 TEST_F(LockcheckFixture, MissingSrcDirIsUsageError) {

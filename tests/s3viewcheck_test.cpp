@@ -140,6 +140,22 @@ TEST(ViewcheckModel, MovedArgumentsAreFlagged) {
   EXPECT_TRUE(saw);
 }
 
+TEST(ViewcheckModel, ParamTypesSeeThroughTemplates) {
+  const FileModel fm = extract(
+      "void Engine::merge(const std::vector<KVBatch>& runs, "
+      "std::unique_ptr<Queue>& q, Bucket* b) {}\n");
+  ASSERT_EQ(fm.functions.size(), 1u);
+  const FunctionModel& fn = fm.functions[0];
+  EXPECT_EQ(fn.display, "Engine::merge");
+  ASSERT_EQ(fn.params.size(), 3u);
+  EXPECT_EQ(fn.params[0].type, "KVBatch");
+  EXPECT_EQ(fn.params[0].name, "runs");
+  EXPECT_EQ(fn.params[1].type, "Queue");
+  EXPECT_EQ(fn.params[1].name, "q");
+  EXPECT_EQ(fn.params[2].type, "Bucket");
+  EXPECT_EQ(fn.params[2].name, "b");
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fixture trees
 
@@ -352,6 +368,23 @@ TEST_F(ViewcheckFixture, SuppressionsSilenceFindings) {
         "}\n");
   std::string output;
   EXPECT_EQ(run(&output), 0) << output;
+}
+
+TEST_F(ViewcheckFixture, OtherToolsSuppressionTagDoesNotSilence) {
+  // Each analyzer honors only its own tag: an s3lockcheck comment naming
+  // this rule is not an s3viewcheck suppression.
+  write("src/bug.cpp",
+        "void f(KVBatch& b) {\n"
+        "  auto k = b.key(0);\n"
+        "  b.clear();\n"
+        "  // s3lockcheck: disable(dangling-view)\n"
+        "  consume(k);\n"
+        "}\n");
+  std::string output;
+  EXPECT_EQ(run(&output), 1) << output;
+  EXPECT_NE(output.find("src/bug.cpp:5: error: [dangling-view]"),
+            std::string::npos)
+      << output;
 }
 
 TEST_F(ViewcheckFixture, GraphDumpListsModel) {

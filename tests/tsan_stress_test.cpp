@@ -116,12 +116,14 @@ TEST(TsanStressTest, ShuffleRegisterUnregisterChurn) {
   engine::ShuffleStore shuffle;
   shuffle.register_job(JobId(1000), 2);
   std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> appended{0};
   std::thread appender([&] {
     std::uint64_t r = 0;
     while (!stop.load()) {
       shuffle.append(JobId(1000), static_cast<std::uint32_t>(r % 2),
                      make_run(r, 4));
       ++r;
+      appended.store(r);
     }
   });
   std::vector<std::thread> churners;
@@ -137,6 +139,10 @@ TEST(TsanStressTest, ShuffleRegisterUnregisterChurn) {
     });
   }
   for (auto& t : churners) t.join();
+  // On a loaded host the churners can finish before the appender first
+  // runs; the check below is that job 1000's records survive the churn, so
+  // let at least one append land before stopping it.
+  while (appended.load() == 0) std::this_thread::yield();
   stop = true;
   appender.join();
   EXPECT_GT(shuffle.pending_records(JobId(1000)), 0u);
@@ -462,8 +468,8 @@ TEST(TsanStressTest, FlightRingWritersVersusDumper) {
       }
     });
   }
-  std::thread snapshotter([&recorder, &stop] {
-    std::size_t snapshots = 0;
+  std::atomic<std::size_t> snapshots{0};
+  std::thread snapshotter([&recorder, &stop, &snapshots] {
     while (!stop.load(std::memory_order_acquire)) {
       const auto logs = recorder.snapshot();
       for (const auto& log : logs) {
@@ -474,7 +480,7 @@ TEST(TsanStressTest, FlightRingWritersVersusDumper) {
       }
       ++snapshots;
     }
-    EXPECT_GT(snapshots, 0u);
+    EXPECT_GT(snapshots.load(), 0u);
   });
   std::thread dumper([&recorder, &stop] {
     const std::string path = ::testing::TempDir() + "/tsan_flight_dump.txt";
@@ -488,6 +494,9 @@ TEST(TsanStressTest, FlightRingWritersVersusDumper) {
     std::remove(path.c_str());
   });
   for (auto& t : writers) t.join();
+  // On a loaded host the writers can finish before the snapshotter first
+  // runs; let it complete one pass so its consistency checks always run.
+  while (snapshots.load() == 0) std::this_thread::yield();
   stop.store(true, std::memory_order_release);
   snapshotter.join();
   dumper.join();

@@ -48,7 +48,7 @@ TokenizedFile tokenize(const std::string& source);
 //                                          the line above the construct)
 //   // s3lint: disable-file(rule-a)      — suppresses for the whole file
 // The rule name "all" disables every rule. Other tools built on this lexer
-// (tools/s3lockcheck) reuse the same syntax under their own tag, e.g.
+// (s3lockcheck, s3viewcheck) reuse the same syntax under their own tag, e.g.
 // "// s3lockcheck: disable(lock-cycle)".
 class Suppressions {
  public:

@@ -14,8 +14,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-const char* const kTrees[] = {"src", "tests", "tools", "bench", "examples"};
-
 bool is_cpp_source(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc";
@@ -38,10 +36,11 @@ std::string read_file(const fs::path& p) {
 
 }  // namespace
 
-std::vector<std::string> collect_files(const std::string& root) {
+std::vector<std::string> collect_files(const std::string& root,
+                                       const std::vector<std::string>& trees) {
   std::vector<std::string> out;
   const fs::path base(root);
-  for (const char* tree : kTrees) {
+  for (const std::string& tree : trees) {
     const fs::path dir = base / tree;
     if (!fs::exists(dir)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(dir)) {
@@ -56,7 +55,8 @@ std::vector<std::string> collect_files(const std::string& root) {
 
 LintResult run_lint(const LintOptions& options) {
   const fs::path base(options.root);
-  const std::vector<std::string> tree = collect_files(options.root);
+  const std::vector<std::string> tree = collect_files(
+      options.root, {"src", "tests", "tools", "bench", "examples"});
 
   // Index every header in the tree, whether or not it is being linted — the
   // status rules need the project-wide view.
@@ -117,6 +117,16 @@ LintResult run_lint(const LintOptions& options) {
               return a.violation.rule < b.violation.rule;
             });
   return result;
+}
+
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> out;
+  std::stringstream in(csv);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
 }
 
 std::string format_report(const LintReport& report) {

@@ -24,13 +24,17 @@ struct LintResult {
   int files_linted = 0;
 };
 
-// C++ sources under root's src/, tests/, tools/, bench/, examples/ trees,
-// root-relative with forward slashes, sorted.
-std::vector<std::string> collect_files(const std::string& root);
+// C++ sources under root's `trees` (s3lint walks src/, tests/, tools/,
+// bench/ and examples/), root-relative with forward slashes, sorted.
+std::vector<std::string> collect_files(const std::string& root,
+                                       const std::vector<std::string>& trees);
 
 // Tokenizes + indexes every header under root, then lints the requested
 // files (or the whole tree). Throws std::runtime_error on unreadable input.
 LintResult run_lint(const LintOptions& options);
+
+// The non-empty items of a comma-separated list ("a,,b" -> {"a", "b"}).
+std::vector<std::string> split_csv(const std::string& csv);
 
 // "path:line: error: [rule] message"
 std::string format_report(const LintReport& report);

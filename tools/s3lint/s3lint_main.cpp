@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,16 +26,6 @@ void print_usage() {
                "  --list-rules  print the rule names and exit\n"
                "  paths         files to lint, relative to the root "
                "(default: whole tree)\n";
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 }  // namespace
@@ -60,7 +49,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--rules=", 0) == 0) {
-      options.rules = split_csv(arg.substr(8));
+      options.rules = s3lint::split_csv(arg.substr(8));
       for (const std::string& rule : options.rules) {
         const auto& known = s3lint::all_rules();
         if (std::find(known.begin(), known.end(), rule) == known.end()) {

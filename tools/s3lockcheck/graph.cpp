@@ -39,6 +39,12 @@ std::string last_component(const std::string& path) {
   return pos == std::string::npos ? path : path.substr(pos + 2);
 }
 
+// The class enclosing a nested class path ("A::B" -> "A"; "A" -> "").
+std::string outer_class(const std::string& path) {
+  const std::size_t pos = path.rfind("::");
+  return pos == std::string::npos ? "" : path.substr(0, pos);
+}
+
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -50,6 +56,13 @@ bool is_wait_name(const std::string& s) {
 
 bool is_sleep_name(const std::string& s) {
   return s == "sleep_for" || s == "sleep_until";
+}
+
+// A call that parks the calling thread itself: a cv wait, a sleep, a join.
+bool is_blocking_primitive(const CallSite& call) {
+  return (is_wait_name(call.callee) && !call.chain.empty()) ||
+         is_sleep_name(call.callee) ||
+         (call.callee == "join" && !call.chain.empty());
 }
 
 // Methods that block by design (condition waits, pool handoffs, block I/O).
@@ -96,8 +109,7 @@ const char* seed_reason(const std::string& class_tail,
 }  // namespace
 
 struct ProjectGraph::Function {
-  FunctionModel m;
-  std::string qualified;                 // "Class::name" or "name"
+  FunctionModel m;  // with the annotations of its declarations
   std::vector<std::string> requires_locks;  // resolved S3_REQUIRES
   // Resolved lock id per acquire site ("" = unresolved, dropped).
   std::vector<std::string> site_locks;
@@ -111,7 +123,7 @@ struct ProjectGraph::Function {
 };
 
 ProjectGraph::ProjectGraph(std::vector<FileModel> files)
-    : files_(std::move(files)) {
+    : files_(std::move(files)), index_(files_) {
   build_indexes();
   resolve_functions();
   compute_transitive();
@@ -119,12 +131,6 @@ ProjectGraph::ProjectGraph(std::vector<FileModel> files)
 }
 
 ProjectGraph::~ProjectGraph() = default;
-
-const std::vector<std::string>& ProjectGraph::all_rules() {
-  static const std::vector<std::string> kRules = {
-      "lock-cycle", "rank-order", "unranked-mutex", "blocking-under-lock"};
-  return kRules;
-}
 
 void ProjectGraph::build_indexes() {
   for (const FileModel& fm : files_) {
@@ -134,87 +140,37 @@ void ProjectGraph::build_indexes() {
       by_member_[m.member].push_back(m.id);
       by_stem_[stem].push_back(m.id);
     }
-    for (const auto& [cls, members] : fm.members) {
-      classes_.insert(cls);
-      for (const auto& [name, type] : members) {
-        members_[cls][name] = type;
-      }
-    }
-    // Classes without data members still need to resolve as receiver types
-    // (an interface-only ThreadPool wrapper, a pure-virtual BlockSource).
-    for (const FunctionModel& f : fm.functions) {
-      if (!f.class_name.empty()) classes_.insert(f.class_name);
-    }
-    for (const MutexDecl& m : fm.mutexes) {
-      if (!m.class_name.empty()) classes_.insert(m.class_name);
-    }
     for (const auto& [enumerator, value] : fm.rank_values) {
       ranks_[enumerator] = value;
     }
   }
 
-  // Merge functions: every definition (body) is its own node; declarations
-  // contribute their S3_REQUIRES/S3_EXCLUDES annotations to matching
-  // definitions, and become nodes of their own only when no definition
-  // exists anywhere (pure virtuals, externally-defined methods) — there the
-  // annotations are all the analysis has.
-  std::map<std::string, std::vector<FunctionModel>> decl_only;
-  for (FileModel& fm : files_) {
-    for (FunctionModel& f : fm.functions) {
-      const std::string qualified =
-          f.class_name.empty() ? f.name : f.class_name + "::" + f.name;
-      if (f.has_body) {
-        Function fn;
-        fn.m = std::move(f);
-        fn.qualified = qualified;
-        by_qualified_[qualified].push_back(functions_.size());
-        by_name_[fn.m.name].push_back(functions_.size());
-        functions_.push_back(std::move(fn));
-      } else {
-        decl_only[qualified].push_back(std::move(f));
-      }
-    }
-  }
-  for (auto& [qualified, decls] : decl_only) {
-    const auto it = by_qualified_.find(qualified);
-    if (it != by_qualified_.end()) {
-      for (const std::size_t idx : it->second) {
-        for (const FunctionModel& d : decls) {
-          FunctionModel& def = functions_[idx].m;
-          def.requires_args.insert(def.requires_args.end(),
-                                   d.requires_args.begin(),
-                                   d.requires_args.end());
-          def.excludes_args.insert(def.excludes_args.end(),
-                                   d.excludes_args.begin(),
-                                   d.excludes_args.end());
-        }
-      }
-      continue;
-    }
+  // One Function per index node: every definition is its own node and
+  // carries the S3_REQUIRES/S3_EXCLUDES annotations of its declarations; a
+  // declaration-only node (pure virtual, externally-defined method) has only
+  // those annotations for the analysis to go on. Each primary model is moved
+  // exactly once: no node lists another node's primary among its decls.
+  for (const s3lint::ProjectIndex::Node& node : index_.functions) {
     Function fn;
-    fn.m = std::move(decls.front());
-    for (std::size_t i = 1; i < decls.size(); ++i) {
+    fn.m = std::move(files_[node.primary.file].functions[node.primary.index]);
+    for (const s3lint::FunctionRef& ref : node.decls) {
+      const FunctionModel& d = files_[ref.file].functions[ref.index];
       fn.m.requires_args.insert(fn.m.requires_args.end(),
-                                decls[i].requires_args.begin(),
-                                decls[i].requires_args.end());
+                                d.requires_args.begin(), d.requires_args.end());
       fn.m.excludes_args.insert(fn.m.excludes_args.end(),
-                                decls[i].excludes_args.begin(),
-                                decls[i].excludes_args.end());
+                                d.excludes_args.begin(), d.excludes_args.end());
     }
-    fn.qualified = qualified;
-    by_qualified_[qualified].push_back(functions_.size());
-    by_name_[fn.m.name].push_back(functions_.size());
     functions_.push_back(std::move(fn));
   }
 }
 
 std::string ProjectGraph::class_for_type(const std::string& type) const {
   if (type.empty()) return "";
-  if (classes_.count(type) > 0) return type;
+  if (index_.classes.count(type) > 0) return type;
   // Nested classes are usually referenced by their tail name (WaveCtx,
   // Bucket); accept a unique suffix match.
   std::string found;
-  for (const std::string& cls : classes_) {
+  for (const std::string& cls : index_.classes) {
     if (last_component(cls) == type) {
       if (!found.empty()) return "";  // ambiguous
       found = cls;
@@ -232,25 +188,42 @@ std::string ProjectGraph::resolve_type(const std::string& name,
     if (d.name == name) return d.type;
   }
   // Member of the enclosing class (or an enclosing outer class).
-  std::string cls = fn.m.class_name;
-  while (!cls.empty()) {
-    const auto it = members_.find(cls);
-    if (it != members_.end()) {
-      const auto mit = it->second.find(name);
-      if (mit != it->second.end()) return mit->second;
-    }
-    const std::size_t pos = cls.rfind("::");
-    cls = pos == std::string::npos ? "" : cls.substr(0, pos);
+  for (std::string cls = fn.m.class_name; !cls.empty();
+       cls = outer_class(cls)) {
+    if (const std::string* type = index_.member_type(cls, name)) return *type;
   }
   // Unique member name anywhere in the project.
   std::string found;
-  for (const auto& [owner, members] : members_) {
+  for (const auto& [owner, members] : index_.members) {
     const auto mit = members.find(name);
     if (mit == members.end()) continue;
     if (!found.empty() && found != mit->second) return "";
     found = mit->second;
   }
   return found;
+}
+
+// The class denoted by the first `links` identifiers of `chain`, resolved
+// left to right from `this`, a parameter, local or member type, or a static
+// class name; "" once a link's type is not a known class. Identifiers that
+// are not members (subscript indices, call arguments swept into the chain)
+// are skipped.
+std::string ProjectGraph::receiver_class(const std::vector<std::string>& chain,
+                                         std::size_t links,
+                                         const Function& fn) const {
+  std::string cur;
+  if (chain[0] == "this") {
+    cur = fn.m.class_name;
+  } else {
+    cur = class_for_type(resolve_type(chain[0], fn));
+    if (cur.empty()) cur = class_for_type(chain[0]);  // static access
+  }
+  for (std::size_t i = 1; !cur.empty() && i < links; ++i) {
+    if (const std::string* type = index_.member_type(cur, chain[i])) {
+      cur = class_for_type(*type);
+    }
+  }
+  return cur;
 }
 
 std::string ProjectGraph::resolve_lock(const std::vector<std::string>& expr,
@@ -260,39 +233,14 @@ std::string ProjectGraph::resolve_lock(const std::vector<std::string>& expr,
 
   if (expr.size() == 1) {
     // Tier 1: a member of the enclosing class chain.
-    std::string cls = fn.m.class_name;
-    while (!cls.empty()) {
+    for (std::string cls = fn.m.class_name; !cls.empty();
+         cls = outer_class(cls)) {
       const std::string id = cls + "::" + member;
       if (mutexes_.count(id) > 0) return id;
-      const std::size_t pos = cls.rfind("::");
-      cls = pos == std::string::npos ? "" : cls.substr(0, pos);
     }
   } else {
     // Tier 2: resolve the receiver chain left to right.
-    std::string cur;
-    std::size_t first_member = 1;
-    if (expr[0] == "this") {
-      cur = fn.m.class_name;
-    } else {
-      cur = class_for_type(resolve_type(expr[0], fn));
-      if (cur.empty()) cur = class_for_type(expr[0]);  // static access
-    }
-    if (!cur.empty()) {
-      for (std::size_t i = first_member; i + 1 < expr.size(); ++i) {
-        const auto it = members_.find(cur);
-        if (it == members_.end()) break;
-        const auto mit = it->second.find(expr[i]);
-        // Non-member identifiers in the chain (subscript indices, call
-        // arguments swept into the expression) are skipped.
-        if (mit == it->second.end()) continue;
-        const std::string next = class_for_type(mit->second);
-        if (next.empty()) {
-          cur.clear();
-          break;
-        }
-        cur = next;
-      }
-    }
+    const std::string cur = receiver_class(expr, expr.size() - 1, fn);
     if (!cur.empty()) {
       const std::string id = cur + "::" + member;
       if (mutexes_.count(id) > 0) return id;
@@ -343,46 +291,32 @@ void ProjectGraph::resolve_functions() {
       std::vector<std::size_t>& targets = fn.call_targets[c];
       if (!call.chain.empty()) {
         // Method call: resolve the receiver chain to a class.
-        std::string cur;
-        if (call.chain[0] == "this") {
-          cur = fn.m.class_name;
-        } else {
-          cur = class_for_type(resolve_type(call.chain[0], fn));
-          if (cur.empty()) cur = class_for_type(call.chain[0]);
-        }
-        for (std::size_t i = 1; !cur.empty() && i < call.chain.size(); ++i) {
-          const auto it = members_.find(cur);
-          if (it == members_.end()) break;
-          const auto mit = it->second.find(call.chain[i]);
-          if (mit == it->second.end()) continue;
-          cur = class_for_type(mit->second);
-        }
+        const std::string cur =
+            receiver_class(call.chain, call.chain.size(), fn);
         if (!cur.empty()) {
-          const auto qit = by_qualified_.find(cur + "::" + call.callee);
-          if (qit != by_qualified_.end()) targets = qit->second;
+          const auto qit = index_.by_qualified.find(cur + "::" + call.callee);
+          if (qit != index_.by_qualified.end()) targets = qit->second;
         }
         continue;
       }
       // Bare call: enclosing class method, then free function, then a
       // project-unique name.
-      std::string cls = fn.m.class_name;
-      while (!cls.empty()) {
-        const auto qit = by_qualified_.find(cls + "::" + call.callee);
-        if (qit != by_qualified_.end()) {
+      for (std::string cls = fn.m.class_name; !cls.empty();
+           cls = outer_class(cls)) {
+        const auto qit = index_.by_qualified.find(cls + "::" + call.callee);
+        if (qit != index_.by_qualified.end()) {
           targets = qit->second;
           break;
         }
-        const std::size_t pos = cls.rfind("::");
-        cls = pos == std::string::npos ? "" : cls.substr(0, pos);
       }
       if (!targets.empty()) continue;
-      const auto fit = by_qualified_.find(call.callee);
-      if (fit != by_qualified_.end()) {
+      const auto fit = index_.by_qualified.find(call.callee);
+      if (fit != index_.by_qualified.end()) {
         targets = fit->second;
         continue;
       }
-      const auto nit = by_name_.find(call.callee);
-      if (nit != by_name_.end() && nit->second.size() == 1) {
+      const auto nit = index_.by_name.find(call.callee);
+      if (nit != index_.by_name.end() && nit->second.size() == 1) {
         targets = nit->second;
       }
     }
@@ -402,11 +336,7 @@ void ProjectGraph::compute_transitive() {
     }
     for (const CallSite& call : fn.m.calls) {
       if (call.in_lambda) continue;
-      const bool primitive =
-          (is_wait_name(call.callee) && !call.chain.empty()) ||
-          is_sleep_name(call.callee) ||
-          (call.callee == "join" && !call.chain.empty());
-      if (primitive && !fn.blocking) {
+      if (is_blocking_primitive(call) && !fn.blocking) {
         fn.blocking = true;
         fn.blocking_why = "contains a " + call.callee + "() at " +
                           fn.m.file + ":" + std::to_string(call.line);
@@ -438,7 +368,7 @@ void ProjectGraph::compute_transitive() {
           const Function& g = functions_[target];
           if (g.trans_blocking && !fn.trans_blocking) {
             fn.trans_blocking = true;
-            fn.blocking_why = "calls " + g.qualified +
+            fn.blocking_why = "calls " + g.m.display +
                               (g.blocking_why.empty()
                                    ? std::string()
                                    : ", which " + g.blocking_why);
@@ -451,6 +381,18 @@ void ProjectGraph::compute_transitive() {
       }
     }
   }
+}
+
+// Locks held at a site: the function's S3_REQUIRES locks plus the resolved
+// locks of the guards lexically active there.
+std::set<std::string> ProjectGraph::held_locks(
+    const Function& fn, const std::vector<int>& guards) const {
+  std::set<std::string> held(fn.requires_locks.begin(),
+                             fn.requires_locks.end());
+  for (const int h : guards) {
+    if (!fn.site_locks[h].empty()) held.insert(fn.site_locks[h]);
+  }
+  return held;
 }
 
 void ProjectGraph::build_edges() {
@@ -470,13 +412,9 @@ void ProjectGraph::build_edges() {
     for (std::size_t s = 0; s < fn.m.acquires.size(); ++s) {
       const AcquireSite& site = fn.m.acquires[s];
       if (site.in_lambda || fn.site_locks[s].empty()) continue;
-      std::set<std::string> held(fn.requires_locks.begin(),
-                                 fn.requires_locks.end());
-      for (const int h : site.held) {
-        if (!fn.site_locks[h].empty()) held.insert(fn.site_locks[h]);
-      }
+      const std::set<std::string> held = held_locks(fn, site.held);
       for (const std::string& h : held) {
-        add_edge(h, fn.site_locks[s], fn.m.file, site.line, fn.qualified);
+        add_edge(h, fn.site_locks[s], fn.m.file, site.line, fn.m.display);
       }
     }
     // Calls made while holding locks: everything the callee can acquire
@@ -484,11 +422,7 @@ void ProjectGraph::build_edges() {
     for (std::size_t c = 0; c < fn.m.calls.size(); ++c) {
       const CallSite& call = fn.m.calls[c];
       if (call.in_lambda) continue;
-      std::set<std::string> held(fn.requires_locks.begin(),
-                                 fn.requires_locks.end());
-      for (const int h : call.held) {
-        if (!fn.site_locks[h].empty()) held.insert(fn.site_locks[h]);
-      }
+      const std::set<std::string> held = held_locks(fn, call.held);
       if (held.empty()) continue;
       for (const std::size_t target : fn.call_targets[c]) {
         const Function& g = functions_[target];
@@ -497,7 +431,7 @@ void ProjectGraph::build_edges() {
                                              // runtime validator's finding
           for (const std::string& h : held) {
             add_edge(h, to, fn.m.file, call.line,
-                     fn.qualified + " -> " + g.qualified);
+                     fn.m.display + " -> " + g.m.display);
           }
         }
       }
@@ -616,18 +550,14 @@ void ProjectGraph::check_blocking(std::vector<Finding>* out) const {
     for (std::size_t c = 0; c < fn.m.calls.size(); ++c) {
       const CallSite& call = fn.m.calls[c];
       if (call.in_lambda) continue;
-      std::set<std::string> held(fn.requires_locks.begin(),
-                                 fn.requires_locks.end());
-      for (const int h : call.held) {
-        if (!fn.site_locks[h].empty()) held.insert(fn.site_locks[h]);
-      }
+      std::set<std::string> held = held_locks(fn, call.held);
       // A cv wait through its own guard releases that lock while parked;
       // only *other* held locks make it a violation.
       if (call.wait_guard >= 0) {
         held.erase(fn.site_locks[call.wait_guard]);
         if (held.empty()) continue;
         std::ostringstream msg;
-        msg << "condition wait in " << fn.qualified
+        msg << "condition wait in " << fn.m.display
             << " releases its own lock but still holds";
         for (const std::string& h : held) msg << " " << h;
         out->push_back(
@@ -636,18 +566,14 @@ void ProjectGraph::check_blocking(std::vector<Finding>* out) const {
       }
       if (held.empty()) continue;
 
-      const bool primitive =
-          (is_wait_name(call.callee) && !call.chain.empty()) ||
-          is_sleep_name(call.callee) ||
-          (call.callee == "join" && !call.chain.empty());
       std::string why;
-      if (primitive) {
+      if (is_blocking_primitive(call)) {
         why = call.callee + "() blocks the calling thread";
       } else {
         for (const std::size_t target : fn.call_targets[c]) {
           const Function& g = functions_[target];
           if (g.trans_blocking) {
-            why = g.qualified +
+            why = g.m.display +
                   (g.blocking_why.empty() ? std::string(" blocks")
                                           : " " + g.blocking_why);
             break;
@@ -660,7 +586,7 @@ void ProjectGraph::check_blocking(std::vector<Finding>* out) const {
       }
       if (why.empty()) continue;
       std::ostringstream msg;
-      msg << "blocking call in " << fn.qualified << " while holding";
+      msg << "blocking call in " << fn.m.display << " while holding";
       for (const std::string& h : held) msg << " " << h;
       msg << ": " << why;
       out->push_back(
@@ -671,29 +597,15 @@ void ProjectGraph::check_blocking(std::vector<Finding>* out) const {
 
 std::vector<Finding> ProjectGraph::analyze(
     const std::set<std::string>& rules) const {
-  auto enabled = [&](const char* rule) {
-    return rules.empty() || rules.count(rule) > 0;
-  };
   std::vector<Finding> out;
-  if (enabled("lock-cycle")) check_cycles(&out);
-  if (enabled("rank-order")) check_rank_order(&out);
-  if (enabled("unranked-mutex")) check_unranked(&out);
-  if (enabled("blocking-under-lock")) check_blocking(&out);
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    return std::tie(a.file, a.line, a.rule, a.message) <
-           std::tie(b.file, b.line, b.rule, b.message);
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const Finding& a, const Finding& b) {
-                          return a.file == b.file && a.line == b.line &&
-                                 a.rule == b.rule && a.message == b.message;
-                        }),
-            out.end());
+  if (rules.count("lock-cycle") > 0) check_cycles(&out);
+  if (rules.count("rank-order") > 0) check_rank_order(&out);
+  if (rules.count("unranked-mutex") > 0) check_unranked(&out);
+  if (rules.count("blocking-under-lock") > 0) check_blocking(&out);
   return out;
 }
 
-std::string ProjectGraph::dump() const {
-  std::ostringstream os;
+void ProjectGraph::dump(std::ostream& os) const {
   os << "# lock-acquisition graph: " << mutexes_.size() << " locks, "
      << edges_.size() << " edges\n";
   for (const auto& [id, m] : mutexes_) {
@@ -715,7 +627,6 @@ std::string ProjectGraph::dump() const {
     os << e->from << " -> " << e->to << "  # " << e->via << " at " << e->file
        << ":" << e->line << "\n";
   }
-  return os.str();
 }
 
 }  // namespace s3lockcheck

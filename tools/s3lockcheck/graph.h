@@ -19,20 +19,18 @@
 #pragma once
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "s3lint/analyzer.h"
+#include "s3lint/project_index.h"
 #include "s3lockcheck/model.h"
 
 namespace s3lockcheck {
 
-struct Finding {
-  std::string rule;
-  std::string file;
-  int line = 0;
-  std::string message;
-};
+using s3lint::Finding;
 
 // One directed edge: `from` was held when `to` was (or could transitively
 // be) acquired. The witness records where that order was established.
@@ -51,14 +49,11 @@ class ProjectGraph {
   // incomplete for header clients.
   ~ProjectGraph();
 
-  // Runs every rule in `rules` (empty set = all) and returns findings
-  // sorted by file/line.
+  // Runs every rule in `rules`; the driver sorts the findings.
   std::vector<Finding> analyze(const std::set<std::string>& rules) const;
 
   // Debug dump of the merged graph (--graph): one edge per line.
-  std::string dump() const;
-
-  static const std::vector<std::string>& all_rules();
+  void dump(std::ostream& os) const;
 
  private:
   struct Function;  // merged function (decls + defs across files)
@@ -67,11 +62,15 @@ class ProjectGraph {
   void resolve_functions();
   void compute_transitive();
   void build_edges();
+  std::set<std::string> held_locks(const Function& fn,
+                                   const std::vector<int>& guards) const;
 
   // Lock-expression resolution (tiers documented in graph.cpp).
   std::string resolve_lock(const std::vector<std::string>& expr,
                            const Function& fn) const;
   std::string resolve_type(const std::string& name, const Function& fn) const;
+  std::string receiver_class(const std::vector<std::string>& chain,
+                             std::size_t links, const Function& fn) const;
   std::string class_for_type(const std::string& type) const;
 
   void check_cycles(std::vector<Finding>* out) const;
@@ -80,23 +79,18 @@ class ProjectGraph {
   void check_blocking(std::vector<Finding>* out) const;
 
   std::vector<FileModel> files_;
+  // Merged member types, known classes, and functions by qualified and bare
+  // name; functions_[k] is index_.functions[k].
+  const s3lint::ProjectIndex index_;
 
   std::map<std::string, MutexDecl> mutexes_;       // id -> decl
   std::map<std::string, int> ranks_;               // enumerator -> value
-  // class path -> member -> type, merged across files.
-  std::map<std::string, std::map<std::string, std::string>> members_;
-  std::set<std::string> classes_;                  // every known class path
   // mutex member name -> ids having that member ("mu" -> {...::mu, ...}).
   std::map<std::string, std::vector<std::string>> by_member_;
   // file stem ("trace") -> mutex ids declared in files with that stem.
   std::map<std::string, std::vector<std::string>> by_stem_;
 
   std::vector<Function> functions_;
-  // "Class::name" (qualified display) -> function index.
-  std::map<std::string, std::vector<std::size_t>> by_qualified_;
-  // bare name -> function indices (for free-function / unreceivered calls).
-  std::map<std::string, std::vector<std::size_t>> by_name_;
-
   std::vector<Edge> edges_;
 };
 

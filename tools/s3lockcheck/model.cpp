@@ -1,34 +1,18 @@
 #include "s3lockcheck/model.h"
 
-#include <algorithm>
-#include <cctype>
-#include <optional>
-
 #include "s3lint/scope.h"
 
 namespace s3lockcheck {
 namespace {
 
+using s3lint::is_decl_qualifier;
+using s3lint::is_ident;
+using s3lint::is_macro_name;
+using s3lint::is_punct;
+using s3lint::skip_angles;
+using s3lint::skip_balanced;
 using s3lint::TokKind;
 using s3lint::Token;
-
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
-bool is_punct(const Token& t, const char* text) {
-  return t.kind == TokKind::kPunct && t.text == text;
-}
-
-// Macro invocations look like ALL_CAPS identifiers; they never name a method
-// or a lock and their argument lists must not be mistaken for call sites.
-bool is_macro_name(const std::string& s) {
-  if (s.size() < 2) return false;
-  bool has_upper = false;
-  for (const char c : s) {
-    if (std::islower(static_cast<unsigned char>(c))) return false;
-    if (std::isupper(static_cast<unsigned char>(c))) has_upper = true;
-  }
-  return has_upper;
-}
 
 bool is_guard_class(const std::string& s) {
   return s == "MutexLock" || s == "WriterMutexLock" || s == "ReaderMutexLock";
@@ -39,511 +23,23 @@ bool is_std_guard_class(const std::string& s) {
          s == "shared_lock";
 }
 
-// Type-position keywords to skip when hunting for the class-ish identifier
-// of a declared type.
-bool is_decl_qualifier(const std::string& s) {
-  return s == "const" || s == "mutable" || s == "static" || s == "inline" ||
-         s == "constexpr" || s == "volatile" || s == "typename" ||
-         s == "unsigned" || s == "signed" || s == "explicit" ||
-         s == "virtual" || s == "friend" || s == "using" || s == "extern";
-}
-
-// Skips a balanced (), [], or {} group starting at `i` (which must point at
-// the opener). Returns the index one past the closer, or toks.size().
-std::size_t skip_balanced(const std::vector<Token>& toks, std::size_t i) {
-  int paren = 0, brace = 0, bracket = 0;
-  for (; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kPunct) continue;
-    if (t.text == "(") ++paren;
-    if (t.text == ")") --paren;
-    if (t.text == "{") ++brace;
-    if (t.text == "}") --brace;
-    if (t.text == "[") ++bracket;
-    if (t.text == "]") --bracket;
-    if (paren == 0 && brace == 0 && bracket == 0) return i + 1;
-  }
-  return toks.size();
-}
-
-// Skips a template argument list starting at the `<`. Heuristic: `>` closes
-// one level, `>>` closes two; gives up (returns start+1) if the list doesn't
-// close within the statement.
-std::size_t skip_angles(const std::vector<Token>& toks, std::size_t i) {
-  int depth = 0;
-  for (std::size_t j = i; j < toks.size(); ++j) {
-    const Token& t = toks[j];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == "<") ++depth;
-      if (t.text == ">") --depth;
-      if (t.text == ">>") depth -= 2;
-      if (t.text == ";" || t.text == "{") break;  // never spans a statement
-      if (depth <= 0 && (t.text == ">" || t.text == ">>")) return j + 1;
-    }
-  }
-  return i + 1;
-}
-
-struct HeaderParse {
-  FunctionModel fn;
-  std::size_t next = 0;   // index after the header (past `{` or `;`)
-  bool has_body = false;  // header ended in `{`
-};
-
-// Parses the identifier arguments of an annotation macro like
-// S3_REQUIRES(mu_) or S3_EXCLUDES(mu_, other_mu_); each top-level argument
-// becomes its identifier chain joined with '.'.
-void parse_annotation_args(const std::vector<Token>& toks, std::size_t open,
-                           std::size_t close, std::vector<std::string>* out) {
-  std::string cur;
-  for (std::size_t j = open + 1; j < close; ++j) {
-    if (is_ident(toks[j]) && !s3lint::is_keyword(toks[j].text)) {
-      if (!cur.empty()) cur += '.';
-      cur += toks[j].text;
-    } else if (is_punct(toks[j], ",")) {
-      if (!cur.empty()) out->push_back(cur);
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) out->push_back(cur);
-}
-
-// Attempts to parse a function declaration or definition whose first token
-// is at `start`. `class_path` is the enclosing class ("" at namespace
-// scope). Returns nullopt when the statement is not recognizably a
-// function.
-std::optional<HeaderParse> parse_function(const std::vector<Token>& toks,
-                                          std::size_t start,
-                                          const std::string& class_path,
-                                          const std::string& path) {
-  // 1. Find "name (" with the name chain immediately before the paren.
-  std::size_t i = start;
-  std::size_t name_pos = 0;
-  int angle = 0;
-  bool found = false;
-  for (; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == ";" || t.text == "{" || t.text == "}" || t.text == "=")
-        return std::nullopt;
-      if (t.text == "<") ++angle;
-      if (t.text == ">") angle = std::max(0, angle - 1);
-      if (t.text == ">>") angle = std::max(0, angle - 2);
-      if (t.text == "(" && angle == 0 && i > start && is_ident(toks[i - 1]) &&
-          !s3lint::is_keyword(toks[i - 1].text)) {
-        name_pos = i - 1;
-        found = true;
-        break;
-      }
-      // A paren not preceded by a plain identifier (function pointer,
-      // parenthesized initializer): not a function we model.
-      if (t.text == "(" && angle == 0) return std::nullopt;
-    }
-  }
-  if (!found) return std::nullopt;
-  const std::string& name = toks[name_pos].text;
-  if (name == "operator" || is_macro_name(name) || is_guard_class(name)) {
-    return std::nullopt;
-  }
-
-  FunctionModel fn;
-  fn.name = name;
-  fn.file = path;
-  fn.line = toks[name_pos].line;
-  // Qualified out-of-class definition: collect A::B before the name.
-  std::string quals;
-  for (std::size_t j = name_pos; j >= 2 && is_punct(toks[j - 1], "::") &&
-                                 is_ident(toks[j - 2]);
-       j -= 2) {
-    quals = quals.empty() ? toks[j - 2].text : toks[j - 2].text + "::" + quals;
-  }
-  fn.class_name = !quals.empty() ? quals : class_path;
-  if (is_punct(toks[name_pos >= 1 ? name_pos - 1 : 0], "~")) {
-    fn.name = "~" + fn.name;  // destructor
-  }
-  fn.display =
-      fn.class_name.empty() ? fn.name : fn.class_name + "::" + fn.name;
-
-  // 2. Parameters.
-  const std::size_t params_end = skip_balanced(toks, i);  // past ')'
-  {
-    std::vector<std::size_t> idents;
-    int depth = 0;
-    auto flush = [&] {
-      if (idents.size() >= 2) {
-        Param p;
-        p.name = toks[idents.back()].text;
-        p.type = toks[idents[idents.size() - 2]].text;
-        fn.params.push_back(std::move(p));
-      }
-      idents.clear();
-    };
-    for (std::size_t j = i + 1; j + 1 < params_end; ++j) {
-      const Token& t = toks[j];
-      if (t.kind == TokKind::kPunct) {
-        if (t.text == "(" || t.text == "[" || t.text == "{") {
-          j = skip_balanced(toks, j) - 1;
-          continue;
-        }
-        if (t.text == "," && depth == 0) flush();
-        if (t.text == "<") ++depth;
-        if (t.text == ">") depth = std::max(0, depth - 1);
-        if (t.text == ">>") depth = std::max(0, depth - 2);
-        if (t.text == "=" && depth == 0) {
-          // Default argument: the declarator is complete; skip the value.
-          flush();
-          while (j + 1 < params_end &&
-                 !(is_punct(toks[j], ",") )) ++j;
-          --j;
-        }
-      } else if (is_ident(t) && depth == 0 && !is_decl_qualifier(t.text) &&
-                 !s3lint::is_keyword(t.text)) {
-        idents.push_back(j);
-      }
-    }
-    flush();
-  }
-
-  // 3. Qualifiers, annotations, trailing return, ctor init list.
-  i = params_end;
-  while (i < toks.size()) {
-    const Token& t = toks[i];
-    if (is_ident(t)) {
-      if (t.text == "S3_REQUIRES" || t.text == "S3_REQUIRES_SHARED" ||
-          t.text == "S3_EXCLUDES") {
-        std::vector<std::string>* dst =
-            t.text == "S3_EXCLUDES" ? &fn.excludes_args : &fn.requires_args;
-        if (i + 1 < toks.size() && is_punct(toks[i + 1], "(")) {
-          const std::size_t close = skip_balanced(toks, i + 1);
-          parse_annotation_args(toks, i + 1, close - 1, dst);
-          i = close;
-          continue;
-        }
-      }
-      // const / noexcept / override / final / other annotation macros.
-      ++i;
-      if (i < toks.size() && is_punct(toks[i], "(")) i = skip_balanced(toks, i);
-      continue;
-    }
-    if (is_punct(t, "->")) {  // trailing return type
-      ++i;
-      while (i < toks.size() && !is_punct(toks[i], "{") &&
-             !is_punct(toks[i], ";")) {
-        if (is_punct(toks[i], "(")) {
-          i = skip_balanced(toks, i);
-        } else {
-          ++i;
-        }
-      }
-      continue;
-    }
-    if (is_punct(t, ":")) {  // ctor initializer list
-      ++i;
-      while (i < toks.size()) {
-        while (i < toks.size() && !is_punct(toks[i], "(") &&
-               !is_punct(toks[i], "{") && !is_punct(toks[i], ";")) {
-          ++i;
-        }
-        if (i >= toks.size() || is_punct(toks[i], ";")) return std::nullopt;
-        // Peek: a `{` directly after a complete initializer is the body.
-        if (is_punct(toks[i], "{") && i >= 1 &&
-            (is_punct(toks[i - 1], ")") || is_punct(toks[i - 1], "}"))) {
-          break;
-        }
-        i = skip_balanced(toks, i);
-        if (i < toks.size() && is_punct(toks[i], ",")) {
-          ++i;
-          continue;
-        }
-        break;
-      }
-      continue;
-    }
-    if (is_punct(t, "=")) {  // = default / = delete / pure virtual
-      while (i < toks.size() && !is_punct(toks[i], ";")) ++i;
-      continue;
-    }
-    if (is_punct(t, ";")) {
-      HeaderParse out{std::move(fn), i + 1, false};
-      return out;
-    }
-    if (is_punct(t, "{")) {
-      HeaderParse out{std::move(fn), i + 1, true};
-      out.fn.has_body = true;
-      return out;
-    }
-    return std::nullopt;  // unexpected shape: bail out conservatively
-  }
-  return std::nullopt;
-}
-
-// The walker proper.
-class Extractor {
+// The lock-order pass's function-body visitor over the shared walker.
+class Extractor : public s3lint::DeclWalker {
  public:
-  Extractor(const std::string& path, const std::vector<Token>& toks)
-      : path_(path), toks_(toks) {
-    fm_.path = path;
-  }
+  using DeclWalker::DeclWalker;
 
   FileModel run() {
-    walk_outer(0, toks_.size(), "");
+    walk(&fm_);
     return std::move(fm_);
   }
 
  private:
-  // --- Outer scopes: top level, namespaces, classes. -------------------
-
-  // Walks [begin, end) at namespace/top scope.
-  void walk_outer(std::size_t begin, std::size_t end,
-                  const std::string& class_path) {
-    std::size_t i = begin;
-    while (i < end) {
-      const Token& t = toks_[i];
-      if (is_ident(t) && t.text == "template") {
-        i = (i + 1 < end && is_punct(toks_[i + 1], "<"))
-                ? skip_angles(toks_, i + 1)
-                : i + 1;
-        continue;
-      }
-      if (is_ident(t) && t.text == "namespace") {
-        std::size_t j = i + 1;
-        while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";"))
-          ++j;
-        if (j < end && is_punct(toks_[j], "{")) {
-          const std::size_t close = skip_balanced(toks_, j);
-          walk_outer(j + 1, close - 1, class_path);
-          i = close;
-        } else {
-          i = j + 1;
-        }
-        continue;
-      }
-      if (is_ident(t) && t.text == "enum") {
-        i = parse_enum(i, end);
-        continue;
-      }
-      if (is_ident(t) && (t.text == "class" || t.text == "struct")) {
-        const std::size_t next = parse_class(i, end, class_path, nullptr);
-        if (next != i) {
-          i = next;
-          continue;
-        }
-        // Forward declaration or elaborated type: fall through.
-      }
-      if (is_ident(t) &&
-          (t.text == "using" || t.text == "typedef" || t.text == "friend" ||
-           t.text == "static_assert" || t.text == "extern")) {
-        while (i < end && !is_punct(toks_[i], ";")) {
-          if (is_punct(toks_[i], "{")) {
-            i = skip_balanced(toks_, i);
-            continue;
-          }
-          ++i;
-        }
-        ++i;
-        continue;
-      }
-      if (is_ident(t) && (t.text == "public" || t.text == "private" ||
-                          t.text == "protected")) {
-        i += 2;  // "public" ":"
-        continue;
-      }
-      if (t.kind == TokKind::kDirective || t.kind == TokKind::kString ||
-          t.kind == TokKind::kNumber) {
-        ++i;
-        continue;
-      }
-      if (t.kind == TokKind::kPunct) {
-        if (t.text == "{") {
-          i = skip_balanced(toks_, i);  // stray block (e.g. extern "C")
-        } else {
-          ++i;
-        }
-        continue;
-      }
-      // Identifier: a declaration. Function or member/variable?
-      i = parse_declaration(i, end, class_path);
-    }
-  }
-
-  // Parses `enum [class] Name ... { ... };` starting at the `enum` token.
-  // Harvests LockRank enumerator values. Returns index past the enum.
-  std::size_t parse_enum(std::size_t i, std::size_t end) {
-    std::size_t j = i + 1;
-    if (j < end && is_ident(toks_[j]) &&
-        (toks_[j].text == "class" || toks_[j].text == "struct")) {
-      ++j;
-    }
-    std::string name;
-    if (j < end && is_ident(toks_[j])) name = toks_[j].text;
-    while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";")) ++j;
-    if (j >= end || is_punct(toks_[j], ";")) return j + 1;
-    const std::size_t close = skip_balanced(toks_, j);
-    if (name == "LockRank") {
-      int next_value = 0;
-      for (std::size_t k = j + 1; k + 1 < close; ++k) {
-        if (!is_ident(toks_[k])) continue;
-        const std::string& enumerator = toks_[k].text;
-        int value = next_value;
-        if (k + 2 < close && is_punct(toks_[k + 1], "=") &&
-            toks_[k + 2].kind == TokKind::kNumber) {
-          value = std::atoi(toks_[k + 2].text.c_str());
-          k += 2;
-        }
-        fm_.rank_values[enumerator] = value;
-        next_value = value + 1;
-        while (k + 1 < close && !is_punct(toks_[k + 1], ",")) ++k;
-      }
-    }
-    return close;
-  }
-
-  // Parses a class/struct definition starting at the class/struct keyword.
-  // Returns the index past the closing `}` (and past a trailing declarator,
-  // which is reported to `fn` as a local when given), or `i` unchanged when
-  // this is not a definition (forward decl / elaborated type).
-  std::size_t parse_class(std::size_t i, std::size_t end,
-                          const std::string& outer, FunctionModel* fn) {
-    std::size_t j = i + 1;
-    if (j >= end || !is_ident(toks_[j])) return i;
-    const std::string name = toks_[j].text;
-    ++j;
-    // Skip "final", base clause, attributes — up to `{` or `;`.
-    while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";") &&
-           !is_punct(toks_[j], "(") && !is_punct(toks_[j], "=")) {
-      if (is_punct(toks_[j], "<")) {
-        j = skip_angles(toks_, j);
-        continue;
-      }
-      ++j;
-    }
-    if (j >= end || !is_punct(toks_[j], "{")) return i;  // not a definition
-    const std::string class_path = outer.empty() ? name : outer + "::" + name;
-    const std::size_t close = skip_balanced(toks_, j);
-    walk_outer(j + 1, close - 1, class_path);
-    // `} var;` — a function-local struct instance.
-    std::size_t k = close;
-    if (fn != nullptr && k < end && is_ident(toks_[k]) &&
-        !s3lint::is_keyword(toks_[k].text) && k + 1 < end &&
-        (is_punct(toks_[k + 1], ";") || is_punct(toks_[k + 1], "{"))) {
-      fn->locals.push_back({class_path, toks_[k].text});
-    }
-    while (k < end && !is_punct(toks_[k], ";")) ++k;
-    return k + 1;
-  }
-
-  // Parses one declaration at class/namespace scope starting at `i`:
-  // either a function (declaration or definition) or a data member.
-  std::size_t parse_declaration(std::size_t i, std::size_t end,
-                                const std::string& class_path) {
-    if (auto parsed = parse_function(toks_, i, class_path, path_)) {
-      FunctionModel fn = std::move(parsed->fn);
-      std::size_t next = parsed->next;
-      if (parsed->has_body) {
-        const std::size_t body_end = find_close(next);
-        walk_body(next, body_end, &fn);
-        next = body_end + 1;
-      }
-      fm_.functions.push_back(std::move(fn));
-      return next;
-    }
-    // Data member / variable: scan to `;`, balancing groups.
-    std::size_t stmt_end = i;
-    while (stmt_end < end && !is_punct(toks_[stmt_end], ";")) {
-      if (is_punct(toks_[stmt_end], "{") || is_punct(toks_[stmt_end], "(") ||
-          is_punct(toks_[stmt_end], "[")) {
-        stmt_end = skip_balanced(toks_, stmt_end);
-        continue;
-      }
-      ++stmt_end;
-    }
-    parse_member(i, stmt_end, class_path);
-    return stmt_end + 1;
-  }
-
-  // Extracts the member name/type (and MutexDecl) from a data-member
-  // statement spanning [i, stmt_end).
-  void parse_member(std::size_t i, std::size_t stmt_end,
-                    const std::string& class_path) {
-    // Walk to the declarator boundary: `=`, brace-init, annotation macro,
-    // or the `;`. The member name is the last top-level identifier before
-    // the boundary; its type is the last class-ish identifier before that —
-    // including template arguments, so `std::unique_ptr<WorkerQueue> q_`
-    // records type WorkerQueue (what receiver resolution wants).
-    std::vector<std::size_t> all;  // candidate type idents, any angle depth
-    std::vector<std::size_t> top;  // angle-0 idents (declarator candidates)
-    bool pointer_or_ref = false;
-    std::size_t init_begin = stmt_end;
-    int angle = 0;
-    for (std::size_t j = i; j < stmt_end; ++j) {
-      const Token& t = toks_[j];
-      if (t.kind == TokKind::kPunct) {
-        if (t.text == "<") ++angle;
-        if (t.text == ">") angle = std::max(0, angle - 1);
-        if (t.text == ">>") angle = std::max(0, angle - 2);
-        if (angle > 0) continue;
-        if (t.text == "*" || t.text == "&") pointer_or_ref = true;
-        if (t.text == "=" || t.text == "{") {
-          init_begin = j;
-          break;
-        }
-        continue;
-      }
-      if (!is_ident(t)) continue;
-      if (angle == 0 && is_macro_name(t.text)) {
-        init_begin = j;
-        break;
-      }
-      if (is_macro_name(t.text) || is_decl_qualifier(t.text) ||
-          s3lint::is_keyword(t.text) || t.text == "std") {
-        continue;
-      }
-      all.push_back(j);
-      if (angle == 0) top.push_back(j);
-    }
-    if (top.empty() || all.size() < 2) return;
-    const std::size_t name_pos = top.back();
-    const std::string member = toks_[name_pos].text;
-    std::string type;
-    for (const std::size_t j : all) {
-      if (j < name_pos) type = toks_[j].text;
-    }
-    if (type.empty()) return;
-    fm_.members[class_path][member] = type;
-    if (!pointer_or_ref &&
-        (type == "AnnotatedMutex" || type == "AnnotatedSharedMutex")) {
-      MutexDecl m;
-      m.class_name = class_path;
-      m.member = member;
-      m.id = class_path.empty() ? member : class_path + "::" + member;
-      m.shared = type == "AnnotatedSharedMutex";
-      m.file = path_;
-      m.line = toks_[name_pos].line;
-      // Rank: `{LockRank::kX}` or `= AnnotatedMutex(LockRank::kX)` style
-      // initializers — find `LockRank :: ident` in the init tokens.
-      for (std::size_t j = init_begin; j + 2 < stmt_end; ++j) {
-        if (is_ident(toks_[j]) && toks_[j].text == "LockRank" &&
-            is_punct(toks_[j + 1], "::") && is_ident(toks_[j + 2])) {
-          m.rank = toks_[j + 2].text;
-          break;
-        }
-      }
-      fm_.mutexes.push_back(std::move(m));
-    }
-  }
-
-  // --- Function bodies. ------------------------------------------------
-
-  // Index of the `}` matching the `{` that precedes `body_begin`.
-  std::size_t find_close(std::size_t body_begin) const {
-    int depth = 1;
-    for (std::size_t j = body_begin; j < toks_.size(); ++j) {
-      if (is_punct(toks_[j], "{")) ++depth;
-      if (is_punct(toks_[j], "}")) {
-        if (--depth == 0) return j;
-      }
-    }
-    return toks_.size();
+  void on_function(s3lint::FunctionHeader header, std::size_t body_begin,
+                   std::size_t body_end) override {
+    FunctionModel fn;
+    static_cast<s3lint::FunctionHeader&>(fn) = std::move(header);
+    if (fn.has_body) walk_body(body_begin, body_end, &fn);
+    fm_.functions.push_back(std::move(fn));
   }
 
   struct ActiveGuard {
@@ -584,11 +80,15 @@ class Extractor {
           ++i;
           continue;
         }
-        if (t.text == "[" && try_lambda(i, end, fn)) {
-          // try_lambda advanced past the whole lambda body.
-          i = lambda_next_;
-          stmt_start = false;
-          continue;
+        if (t.text == "[") {
+          // A lambda body starts with an empty held-set.
+          if (const auto lambda = lambda_at(i, end)) {
+            walk_body(lambda->body_begin, lambda->body_end, fn,
+                      /*in_lambda=*/true);
+            i = lambda->next;
+            stmt_start = false;
+            continue;
+          }
         }
         stmt_start = false;
         ++i;
@@ -602,24 +102,39 @@ class Extractor {
 
       // Function-local struct/class definition.
       if ((t.text == "struct" || t.text == "class") && stmt_start) {
-        const std::size_t next = parse_class(i, end, "", fn);
+        s3lint::LocalInstance instance;
+        const std::size_t next = parse_class(i, end, "", &instance);
         if (next != i) {
+          if (!instance.name.empty()) {
+            fn->locals.push_back({instance.type, instance.name});
+          }
           i = next;
           stmt_start = true;
           continue;
         }
       }
 
-      // Project RAII guard: MutexLock lock(expr);
-      if (is_guard_class(t.text) && i + 2 < end && is_ident(toks_[i + 1]) &&
-          is_punct(toks_[i + 2], "(")) {
-        const std::size_t close = skip_balanced(toks_, i + 2);
+      // RAII guard: `MutexLock lock(expr);` or a std:: guard template,
+      // `std::lock_guard<...> g(expr);`. `var` is the guard variable.
+      std::size_t var = 0;
+      if (is_guard_class(t.text)) {
+        var = i + 1;
+      } else if (is_std_guard_class(t.text) && i >= 1 &&
+                 is_punct(toks_[i - 1], "::")) {
+        var = i + 1;
+        if (var < end && is_punct(toks_[var], "<")) {
+          var = skip_angles(toks_, var);
+        }
+      }
+      if (var != 0 && var + 1 < end && is_ident(toks_[var]) &&
+          is_punct(toks_[var + 1], "(")) {
+        const std::size_t close = skip_balanced(toks_, var + 1);
         AcquireSite site;
-        site.var = toks_[i + 1].text;
-        site.shared = t.text == "ReaderMutexLock";
+        site.var = toks_[var].text;
+        site.shared = t.text == "ReaderMutexLock" || t.text == "shared_lock";
         site.line = t.line;
         site.in_lambda = in_lambda;
-        for (std::size_t j = i + 3; j + 1 < close; ++j) {
+        for (std::size_t j = var + 2; j + 1 < close; ++j) {
           if (is_ident(toks_[j]) && !s3lint::is_keyword(toks_[j].text)) {
             site.expr.push_back(toks_[j].text);
           }
@@ -627,36 +142,10 @@ class Extractor {
         for (const ActiveGuard& g : active) site.held.push_back(g.site);
         const int idx = static_cast<int>(fn->acquires.size());
         fn->acquires.push_back(std::move(site));
-        active.push_back({idx, depth, toks_[i + 1].text});
+        active.push_back({idx, depth, toks_[var].text});
         i = close;
         stmt_start = false;
         continue;
-      }
-
-      // std:: guard templates: std::lock_guard<...> g(expr);
-      if (is_std_guard_class(t.text) && i >= 1 && is_punct(toks_[i - 1], "::")) {
-        std::size_t j = i + 1;
-        if (j < end && is_punct(toks_[j], "<")) j = skip_angles(toks_, j);
-        if (j + 1 < end && is_ident(toks_[j]) && is_punct(toks_[j + 1], "(")) {
-          const std::size_t close = skip_balanced(toks_, j + 1);
-          AcquireSite site;
-          site.var = toks_[j].text;
-          site.shared = t.text == "shared_lock";
-          site.line = t.line;
-          site.in_lambda = in_lambda;
-          for (std::size_t k = j + 2; k + 1 < close; ++k) {
-            if (is_ident(toks_[k]) && !s3lint::is_keyword(toks_[k].text)) {
-              site.expr.push_back(toks_[k].text);
-            }
-          }
-          for (const ActiveGuard& g : active) site.held.push_back(g.site);
-          const int idx = static_cast<int>(fn->acquires.size());
-          fn->acquires.push_back(std::move(site));
-          active.push_back({idx, depth, toks_[j].text});
-          i = close;
-          stmt_start = false;
-          continue;
-        }
       }
 
       // Local declaration (for receiver-type resolution). `auto` passes
@@ -701,39 +190,6 @@ class Extractor {
 
       ++i;
       stmt_start = false;
-    }
-  }
-
-  // Builds the receiver identifier chain for the call whose callee token is
-  // at `pos`, walking backwards over `.`, `->`, `::`, subscripts, and
-  // intermediate calls. `begin` bounds the walk.
-  void build_chain(std::size_t pos, std::size_t begin,
-                   std::vector<std::string>* chain) const {
-    std::size_t j = pos;
-    while (j > begin + 1) {
-      const Token& sep = toks_[j - 1];
-      if (!(is_punct(sep, ".") || is_punct(sep, "->") || is_punct(sep, "::")))
-        break;
-      std::size_t k = j - 2;
-      // Skip balanced groups backwards: a[i]->, f()., etc.
-      while (k > begin &&
-             (is_punct(toks_[k], "]") || is_punct(toks_[k], ")"))) {
-        const std::string closer = toks_[k].text;
-        const char* open = closer == "]" ? "[" : "(";
-        int d = 1;
-        --k;
-        while (k > begin && d > 0) {
-          if (toks_[k].kind == TokKind::kPunct) {
-            if (toks_[k].text == closer) ++d;
-            if (toks_[k].text == open) --d;
-          }
-          if (d > 0) --k;
-        }
-        if (k > begin) --k;
-      }
-      if (!is_ident(toks_[k])) break;
-      chain->insert(chain->begin(), toks_[k].text);
-      j = k;
     }
   }
 
@@ -784,42 +240,7 @@ class Extractor {
     fn->locals.push_back(std::move(d));
   }
 
-  // Detects a lambda introducer at `[` (index i) and, when confirmed, walks
-  // its body with a fresh held-set. Sets lambda_next_ past the body.
-  bool try_lambda(std::size_t i, std::size_t end, FunctionModel* fn) {
-    // `[` is a lambda intro unless it follows a value (subscript).
-    if (i > 0) {
-      const Token& prev = toks_[i - 1];
-      if (is_ident(prev) && !s3lint::is_keyword(prev.text)) return false;
-      if (prev.kind == TokKind::kPunct &&
-          (prev.text == "]" || prev.text == ")")) {
-        return false;
-      }
-    }
-    std::size_t j = skip_balanced(toks_, i);  // past ']'
-    if (j < end && is_punct(toks_[j], "(")) j = skip_balanced(toks_, j);
-    while (j < end && is_ident(toks_[j]) &&
-           (toks_[j].text == "mutable" || toks_[j].text == "noexcept" ||
-            toks_[j].text == "constexpr")) {
-      ++j;
-    }
-    if (j < end && is_punct(toks_[j], "->")) {
-      while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";") &&
-             !is_punct(toks_[j], ",") && !is_punct(toks_[j], ")")) {
-        ++j;
-      }
-    }
-    if (j >= end || !is_punct(toks_[j], "{")) return false;
-    const std::size_t body_end = find_close(j + 1);
-    walk_body(j + 1, std::min(body_end, end), fn, /*in_lambda=*/true);
-    lambda_next_ = std::min(body_end + 1, end);
-    return true;
-  }
-
-  const std::string& path_;
-  const std::vector<Token>& toks_;
   FileModel fm_;
-  std::size_t lambda_next_ = 0;
 };
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Per-file structural model for s3lockcheck: which annotated mutexes exist,
-// which class members have which types, and — for every function with a body
-// — where locks are acquired, what calls are made while they are held, and
-// where blocking operations occur.
+// Per-file model for s3lockcheck: the shared declarations (annotated
+// mutexes, class member types, function headers — read by the declaration
+// walker in tools/s3lint/decl_walker.h) plus, for every function with a
+// body, where locks are acquired, what calls are made while they are held,
+// and where blocking operations occur.
 //
-// Built on s3lint's token stream (tools/s3lint/lexer.h): token-level, not a
-// real C++ parse. The walker understands just enough structure (namespaces,
-// classes incl. function-local structs, function headers with ctor init
-// lists and annotation macros, lambdas, RAII guard declarations) to place
+// The body visitor is token-level, not a real C++ parse: it understands just
+// enough (lambdas, RAII guard declarations, local declarations) to place
 // every lock site in a lexical guard scope. Precision notes:
 //  * Lock identity is name-based ("Class::member"), so two instances of the
 //    same member (two shuffle buckets) are one node — which is exactly the
@@ -18,23 +17,16 @@
 //    worker-task bodies run on pool threads, not under the caller's locks.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "s3lint/decl_walker.h"
 #include "s3lint/lexer.h"
 
 namespace s3lockcheck {
 
-struct MutexDecl {
-  std::string id;          // "LocalEngine::WaveCtx::mu"
-  std::string class_name;  // "LocalEngine::WaveCtx"
-  std::string member;      // "mu"
-  bool shared = false;     // AnnotatedSharedMutex
-  std::string rank;        // "kEngineWaveCtx"; empty = unranked
-  std::string file;
-  int line = 0;
-};
+using s3lint::MutexDecl;
+using s3lint::Param;
 
 // One RAII guard declaration (MutexLock / WriterMutexLock / ReaderMutexLock
 // or a std::lock_guard-family template).
@@ -61,42 +53,19 @@ struct CallSite {
   int wait_guard = -1;
 };
 
-struct Param {
-  std::string type;  // last class-ish identifier of the declared type
-  std::string name;
-};
-
 struct LocalDecl {
   std::string type;
   std::string name;
 };
 
-struct FunctionModel {
-  std::string class_name;  // "" for free functions
-  std::string name;
-  std::string display;     // "Class::name" or "name" (diagnostics)
-  std::string file;
-  int line = 0;
-  bool has_body = false;
-  std::vector<Param> params;
-  // Raw identifier arguments of S3_REQUIRES(...) / S3_EXCLUDES(...) on the
-  // declaration or definition. EXCLUDES names locks the function acquires
-  // itself; REQUIRES names locks the caller already holds.
-  std::vector<std::string> requires_args;
-  std::vector<std::string> excludes_args;
+struct FunctionModel : s3lint::FunctionHeader {
   std::vector<AcquireSite> acquires;
   std::vector<CallSite> calls;
   std::vector<LocalDecl> locals;
 };
 
-struct FileModel {
-  std::string path;
-  std::vector<MutexDecl> mutexes;
+struct FileModel : s3lint::FileDecls {
   std::vector<FunctionModel> functions;
-  // class path -> member name -> member type (last class-ish identifier).
-  std::map<std::string, std::map<std::string, std::string>> members;
-  // LockRank enumerator -> numeric value, when this file defines the enum.
-  std::map<std::string, int> rank_values;
 };
 
 FileModel extract_model(const std::string& path,

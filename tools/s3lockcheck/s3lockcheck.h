@@ -1,21 +1,19 @@
-// Driver for the whole-project lock-order analyzer. Collects every C++
-// source under <root>/src, extracts per-file models, builds the project
-// lock-acquisition graph, and reports findings in the same
-// `path:line: error: [rule] message` format as s3lint (one tool-chain, one
-// grep pattern). Exit codes match too: 0 clean, 1 findings, 2 usage/IO.
+// Entry points of the whole-project lock-order analyzer. The shared driver
+// (tools/s3lint/analyzer.h) collects every C++ source under <root>/src and
+// reports; this pass extracts the per-file lock models and builds the project
+// lock-acquisition graph over them.
 #pragma once
 
-#include <set>
 #include <string>
-#include <vector>
+
+#include "s3lint/analyzer.h"
 
 namespace s3lockcheck {
 
-struct LockcheckOptions {
-  std::string root = ".";        // project root (containing src/)
-  std::set<std::string> rules;   // empty = all rules
-  bool dump_graph = false;       // print the merged graph instead of checking
-};
+using LockcheckOptions = s3lint::AnalyzerOptions;
+
+// The lock-order pass, as the shared driver runs it.
+const s3lint::AnalyzerPass& lockcheck_pass();
 
 int run_lockcheck(const LockcheckOptions& options, std::string* output);
 

@@ -5,63 +5,9 @@
 // Analyzes every C++ file under DIR/src for lock-order cycles, LockRank
 // contradictions, unranked annotated mutexes, and blocking calls made while
 // holding a lock. Exit 0 = clean, 1 = findings, 2 = usage or I/O error.
-#include <cstdio>
-#include <cstring>
-#include <string>
-
-#include "s3lockcheck/graph.h"
+#include "s3lint/analyzer.h"
 #include "s3lockcheck/s3lockcheck.h"
 
-namespace {
-
-void usage() {
-  std::fputs(
-      "usage: s3lockcheck [--root=DIR] [--rules=a,b] [--graph]\n"
-      "\n"
-      "Whole-project lock-order and blocking-under-lock analysis.\n"
-      "  --root=DIR    project root containing src/ (default: .)\n"
-      "  --rules=a,b   run only the named rules\n"
-      "  --graph       dump the merged lock-acquisition graph and exit\n"
-      "\n"
-      "rules:\n",
-      stderr);
-  for (const std::string& rule : s3lockcheck::ProjectGraph::all_rules()) {
-    std::fprintf(stderr, "  %s\n", rule.c_str());
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  s3lockcheck::LockcheckOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--root=", 0) == 0) {
-      options.root = arg.substr(7);
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      std::string cur;
-      for (const char c : arg.substr(8) + ",") {
-        if (c == ',') {
-          if (!cur.empty()) options.rules.insert(cur);
-          cur.clear();
-        } else {
-          cur.push_back(c);
-        }
-      }
-    } else if (arg == "--graph") {
-      options.dump_graph = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "s3lockcheck: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
-    }
-  }
-  std::string output;
-  const int rc = s3lockcheck::run_lockcheck(options, &output);
-  std::fputs(output.c_str(), stdout);
-  return rc;
+  return s3lint::analyzer_main(s3lockcheck::lockcheck_pass(), argc, argv);
 }

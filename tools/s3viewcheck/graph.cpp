@@ -44,7 +44,6 @@ struct Arena {
 struct TrackedView {
   Arena arena;
   int bind_seq = 0;
-  int bind_stmt = 0;
   int bind_line = 0;
   int bind_lambda = -1;
   std::string via;  // "KVBatch::key", "borrowed parameter", "wrapper()"
@@ -62,47 +61,8 @@ struct Invalidation {
 }  // namespace
 
 ProjectGraph::ProjectGraph(std::vector<FileModel> files)
-    : files_(std::move(files)) {
-  build_indexes();
+    : files_(std::move(files)), index_(files_) {
   compute_summaries();
-}
-
-ProjectGraph::~ProjectGraph() = default;
-
-std::vector<std::string> ProjectGraph::all_rules() {
-  return {"dangling-view", "append-after-read", "view-outlives-arena",
-          "cross-thread-view"};
-}
-
-void ProjectGraph::build_indexes() {
-  for (const FileModel& fm : files_) {
-    for (const auto& [cls, members] : fm.members) {
-      for (const auto& [name, type] : members) {
-        members_[cls].emplace(name, type);
-      }
-    }
-  }
-  // Bare-name function index; names with multiple bodies are ambiguous and
-  // excluded (a declaration plus its single definition does not conflict).
-  std::map<std::string, int> body_count;
-  for (const FileModel& fm : files_) {
-    for (const FunctionModel& fn : fm.functions) {
-      if (!fn.has_body) continue;
-      ++body_count[fn.name];
-      unique_fns_[fn.name] = &fn;
-    }
-  }
-  for (const auto& [name, count] : body_count) {
-    if (count > 1) unique_fns_.erase(name);
-  }
-}
-
-const std::string* ProjectGraph::member_type(const std::string& class_path,
-                                             const std::string& member) const {
-  auto cit = members_.find(class_path);
-  if (cit == members_.end()) return nullptr;
-  auto mit = cit->second.find(member);
-  return mit == cit->second.end() ? nullptr : &mit->second;
 }
 
 const ProjectGraph::Summary* ProjectGraph::summary_for(
@@ -112,9 +72,12 @@ const ProjectGraph::Summary* ProjectGraph::summary_for(
 }
 
 void ProjectGraph::compute_summaries() {
-  // Seed: declared return types, direct parameter invalidations, and direct
+  // Only names defined exactly once are summarized (a declaration plus its
+  // one definition does not conflict; two bodies are ambiguous). Seed:
+  // declared return types, direct parameter invalidations, and direct
   // return-a-view-of-a-batch-parameter shapes.
-  for (const auto& [name, fn] : unique_fns_) {
+  for (const auto& [name, ref] : index_.defined_once) {
+    const FunctionModel* fn = &files_[ref.file].functions[ref.index];
     Summary s;
     s.returns_batch = is_batch_type(fn->return_type);
     std::map<std::string, std::size_t> param_index;
@@ -161,7 +124,8 @@ void ProjectGraph::compute_summaries() {
   int rounds = 0;
   while (changed && rounds++ < 16) {
     changed = false;
-    for (const auto& [name, fn] : unique_fns_) {
+    for (const auto& [name, ref] : index_.defined_once) {
+      const FunctionModel* fn = &files_[ref.file].functions[ref.index];
       Summary& s = summaries_[name];
       std::map<std::string, std::size_t> param_index;
       for (std::size_t k = 0; k < fn->params.size(); ++k) {
@@ -225,7 +189,8 @@ void ProjectGraph::analyze_function(const FunctionModel& fn,
       type = pit->second;
       arena.kind = Arena::Kind::kParam;
       arena.id = chain[0];
-    } else if (const std::string* mt = member_type(fn.class_name, chain[0])) {
+    } else if (const std::string* mt =
+                   index_.member_type(fn.class_name, chain[0])) {
       type = *mt;
       arena.kind = Arena::Kind::kMember;
       arena.id = fn.class_name + "::" + chain[0];
@@ -233,7 +198,7 @@ void ProjectGraph::analyze_function(const FunctionModel& fn,
       return std::nullopt;
     }
     for (std::size_t i = 1; i < chain.size(); ++i) {
-      const std::string* mt = member_type(type, chain[i]);
+      const std::string* mt = index_.member_type(type, chain[i]);
       if (mt == nullptr) return std::nullopt;
       type = *mt;
       if (arena.kind == Arena::Kind::kLocal) {
@@ -299,14 +264,14 @@ void ProjectGraph::analyze_function(const FunctionModel& fn,
     return std::string("batch");
   };
 
+  // `site` is the CallSite or Event that binds the view.
   auto bind_view = [&](const std::string& name, const Arena& arena,
-                       const CallSite& c, const std::string& via) {
+                       const auto& site, const std::string& via) {
     TrackedView tv;
     tv.arena = arena;
-    tv.bind_seq = c.seq;
-    tv.bind_stmt = c.stmt;
-    tv.bind_line = c.line;
-    tv.bind_lambda = c.lambda;
+    tv.bind_seq = site.seq;
+    tv.bind_line = site.line;
+    tv.bind_lambda = site.lambda;
     tv.via = via;
     tv.active = true;
     views[name] = tv;
@@ -426,7 +391,7 @@ void ProjectGraph::analyze_function(const FunctionModel& fn,
       }
       // 4. Container stores into members: bucket_.push_back(view).
       if (is_container_store(c.callee) && c.chain.size() == 1 &&
-          member_type(fn.class_name, c.chain[0]) != nullptr) {
+          index_.member_type(fn.class_name, c.chain[0]) != nullptr) {
         for (std::size_t a = 0; a < c.args.size(); ++a) {
           if (!c.lone[a]) continue;
           auto it = views.find(c.args[a]);
@@ -451,20 +416,11 @@ void ProjectGraph::analyze_function(const FunctionModel& fn,
 
     const Event& ev = *step.ev;
     switch (ev.kind) {
-      case EventKind::kBind: {
+      case EventKind::kBind:
         // Borrowed view parameter: valid only for the call's duration.
-        TrackedView tv;
-        tv.arena.kind = Arena::Kind::kBorrowed;
-        tv.arena.id = ev.batch;
-        tv.bind_seq = ev.seq;
-        tv.bind_stmt = ev.stmt;
-        tv.bind_line = ev.line;
-        tv.bind_lambda = ev.lambda;
-        tv.via = ev.via;
-        tv.active = true;
-        views[ev.view] = tv;
+        bind_view(ev.view, Arena{ev.batch, Arena::Kind::kBorrowed}, ev,
+                  ev.via);
         break;
-      }
       case EventKind::kUse:
         check_use(ev.view, ev.seq, ev.line, ev.lambda);
         break;
@@ -515,24 +471,12 @@ std::vector<Finding> ProjectGraph::analyze(
       analyze_function(fn, rules, &out);
     }
   }
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    if (a.file != b.file) return a.file < b.file;
-    if (a.line != b.line) return a.line < b.line;
-    if (a.rule != b.rule) return a.rule < b.rule;
-    return a.message < b.message;
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const Finding& a, const Finding& b) {
-                          return a.file == b.file && a.line == b.line &&
-                                 a.rule == b.rule && a.message == b.message;
-                        }),
-            out.end());
   return out;
 }
 
 void ProjectGraph::dump(std::ostream& os) const {
   os << "== class members (merged) ==\n";
-  for (const auto& [cls, members] : members_) {
+  for (const auto& [cls, members] : index_.members) {
     for (const auto& [name, type] : members) {
       os << "  " << cls << "::" << name << " : " << type << "\n";
     }

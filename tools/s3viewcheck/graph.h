@@ -29,30 +29,24 @@
 #include <string>
 #include <vector>
 
+#include "s3lint/analyzer.h"
+#include "s3lint/project_index.h"
 #include "s3viewcheck/model.h"
 
 namespace s3viewcheck {
 
-struct Finding {
-  std::string rule;
-  std::string file;
-  int line = 0;
-  std::string message;
-};
+using s3lint::Finding;
 
 class ProjectGraph {
  public:
   explicit ProjectGraph(std::vector<FileModel> files);
-  ~ProjectGraph();
 
-  // Runs the requested rules (names from all_rules()) over every function.
-  // Findings are sorted by (file, line, rule) and deduplicated.
+  // Runs the requested rules over every function; the driver sorts and
+  // deduplicates the findings.
   std::vector<Finding> analyze(const std::set<std::string>& rules) const;
 
   // Human-readable dump of the merged model and summaries (--graph).
   void dump(std::ostream& os) const;
-
-  static std::vector<std::string> all_rules();
 
  private:
   struct Summary {
@@ -61,22 +55,18 @@ class ProjectGraph {
     std::set<std::size_t> invalidates_param; // mutates param k's arena
   };
 
-  void build_indexes();
   void compute_summaries();
   const Summary* summary_for(const std::string& callee) const;
-  const std::string* member_type(const std::string& class_path,
-                                 const std::string& member) const;
   void analyze_function(const FunctionModel& fn,
                         const std::set<std::string>& rules,
                         std::vector<Finding>* out) const;
 
   std::vector<FileModel> files_;
-  // class path -> member -> type, merged across files.
-  std::map<std::string, std::map<std::string, std::string>> members_;
+  // Merged member types and the names defined exactly once.
+  const s3lint::ProjectIndex index_;
   // bare function name -> summary; only names defined exactly once project-
   // wide are summarized (ambiguous names resolve to nothing, not a guess).
   std::map<std::string, Summary> summaries_;
-  std::map<std::string, const FunctionModel*> unique_fns_;
 };
 
 }  // namespace s3viewcheck

@@ -1,7 +1,6 @@
 #include "s3viewcheck/model.h"
 
 #include <algorithm>
-#include <cctype>
 #include <optional>
 #include <set>
 
@@ -10,444 +9,40 @@
 namespace s3viewcheck {
 namespace {
 
+using s3lint::is_decl_qualifier;
+using s3lint::is_ident;
+using s3lint::is_macro_name;
+using s3lint::is_punct;
+using s3lint::skip_angles;
+using s3lint::skip_balanced;
 using s3lint::TokKind;
 using s3lint::Token;
-
-bool is_ident(const Token& t) { return t.kind == TokKind::kIdent; }
-
-bool is_punct(const Token& t, const char* text) {
-  return t.kind == TokKind::kPunct && t.text == text;
-}
-
-// Macro invocations look like ALL_CAPS identifiers; they never name a view,
-// a batch, or a method, and their argument lists are opaque.
-bool is_macro_name(const std::string& s) {
-  if (s.size() < 2) return false;
-  bool has_upper = false;
-  for (const char c : s) {
-    if (std::islower(static_cast<unsigned char>(c))) return false;
-    if (std::isupper(static_cast<unsigned char>(c))) has_upper = true;
-  }
-  return has_upper;
-}
-
-bool is_decl_qualifier(const std::string& s) {
-  return s == "const" || s == "mutable" || s == "static" || s == "inline" ||
-         s == "constexpr" || s == "volatile" || s == "typename" ||
-         s == "unsigned" || s == "signed" || s == "explicit" ||
-         s == "virtual" || s == "friend" || s == "using" || s == "extern";
-}
 
 bool is_view_type(const std::string& t) {
   return t == "string_view" || t == "ArenaView" || t == "DebugView" ||
          t == "basic_string_view";
 }
 
-// Skips a balanced (), [], or {} group starting at `i` (which must point at
-// the opener). Returns the index one past the closer, or toks.size().
-std::size_t skip_balanced(const std::vector<Token>& toks, std::size_t i) {
-  int paren = 0, brace = 0, bracket = 0;
-  for (; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kPunct) continue;
-    if (t.text == "(") ++paren;
-    if (t.text == ")") --paren;
-    if (t.text == "{") ++brace;
-    if (t.text == "}") --brace;
-    if (t.text == "[") ++bracket;
-    if (t.text == "]") --bracket;
-    if (paren == 0 && brace == 0 && bracket == 0) return i + 1;
-  }
-  return toks.size();
-}
-
-// Skips a template argument list starting at the `<`. Heuristic: `>` closes
-// one level, `>>` closes two; gives up (returns start+1) if the list doesn't
-// close within the statement.
-std::size_t skip_angles(const std::vector<Token>& toks, std::size_t i) {
-  int depth = 0;
-  for (std::size_t j = i; j < toks.size(); ++j) {
-    const Token& t = toks[j];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == "<") ++depth;
-      if (t.text == ">") --depth;
-      if (t.text == ">>") depth -= 2;
-      if (t.text == ";" || t.text == "{") break;  // never spans a statement
-      if (depth <= 0 && (t.text == ">" || t.text == ">>")) return j + 1;
-    }
-  }
-  return i + 1;
-}
-
-struct HeaderParse {
-  FunctionModel fn;
-  std::size_t next = 0;   // index after the header (past `{` or `;`)
-  bool has_body = false;  // header ended in `{`
-};
-
-// Attempts to parse a function declaration or definition whose first token
-// is at `start` (same discipline as s3lockcheck's header parser, plus
-// return-type capture). Returns nullopt when the statement is not
-// recognizably a function.
-std::optional<HeaderParse> parse_function(const std::vector<Token>& toks,
-                                          std::size_t start,
-                                          const std::string& class_path,
-                                          const std::string& path) {
-  // 1. Find "name (" with the name chain immediately before the paren.
-  std::size_t i = start;
-  std::size_t name_pos = 0;
-  int angle = 0;
-  bool found = false;
-  for (; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == ";" || t.text == "{" || t.text == "}" || t.text == "=")
-        return std::nullopt;
-      if (t.text == "<") ++angle;
-      if (t.text == ">") angle = std::max(0, angle - 1);
-      if (t.text == ">>") angle = std::max(0, angle - 2);
-      if (t.text == "(" && angle == 0 && i > start && is_ident(toks[i - 1]) &&
-          !s3lint::is_keyword(toks[i - 1].text)) {
-        name_pos = i - 1;
-        found = true;
-        break;
-      }
-      if (t.text == "(" && angle == 0) return std::nullopt;
-    }
-  }
-  if (!found) return std::nullopt;
-  const std::string& name = toks[name_pos].text;
-  if (name == "operator" || is_macro_name(name)) return std::nullopt;
-
-  FunctionModel fn;
-  fn.name = name;
-  fn.file = path;
-  fn.line = toks[name_pos].line;
-  // Qualified out-of-class definition: collect A::B before the name.
-  std::string quals;
-  std::size_t qual_begin = name_pos;
-  for (std::size_t j = name_pos; j >= 2 && is_punct(toks[j - 1], "::") &&
-                                 is_ident(toks[j - 2]);
-       j -= 2) {
-    quals = quals.empty() ? toks[j - 2].text : toks[j - 2].text + "::" + quals;
-    qual_begin = j - 2;
-  }
-  fn.class_name = !quals.empty() ? quals : class_path;
-  if (is_punct(toks[name_pos >= 1 ? name_pos - 1 : 0], "~")) {
-    fn.name = "~" + fn.name;  // destructor
-  }
-  fn.display =
-      fn.class_name.empty() ? fn.name : fn.class_name + "::" + fn.name;
-  // Return type: last class-ish identifier before the (qualified) name.
-  for (std::size_t j = start; j < qual_begin; ++j) {
-    const Token& t = toks[j];
-    if (is_ident(t) && !is_decl_qualifier(t.text) && !is_macro_name(t.text) &&
-        !s3lint::is_keyword(t.text) && t.text != "std") {
-      fn.return_type = t.text;
-    }
-    if (is_ident(t) && t.text == "auto") fn.return_type = "auto";
-  }
-
-  // 2. Parameters (type = last class-ish identifier before the param name,
-  // seen through template arguments so `std::vector<KVBatch>& runs` records
-  // KVBatch — element access through the param is arena access).
-  const std::size_t params_end = skip_balanced(toks, i);  // past ')'
-  {
-    std::vector<std::size_t> all;  // class-ish idents at any angle depth
-    std::vector<std::size_t> top;  // angle-0 idents (declarator candidates)
-    int depth = 0;
-    auto flush = [&] {
-      if (!top.empty() && all.size() >= 2 && all.back() == top.back()) {
-        Param p;
-        p.name = toks[top.back()].text;
-        p.type = toks[all[all.size() - 2]].text;
-        fn.params.push_back(std::move(p));
-      }
-      all.clear();
-      top.clear();
-    };
-    for (std::size_t j = i + 1; j + 1 < params_end; ++j) {
-      const Token& t = toks[j];
-      if (t.kind == TokKind::kPunct) {
-        if (t.text == "(" || t.text == "[" || t.text == "{") {
-          j = skip_balanced(toks, j) - 1;
-          continue;
-        }
-        if (t.text == "," && depth == 0) flush();
-        if (t.text == "<") ++depth;
-        if (t.text == ">") depth = std::max(0, depth - 1);
-        if (t.text == ">>") depth = std::max(0, depth - 2);
-        if (t.text == "=" && depth == 0) {
-          flush();
-          while (j + 1 < params_end && !is_punct(toks[j], ",")) ++j;
-          --j;
-        }
-      } else if (is_ident(t) && !is_decl_qualifier(t.text) &&
-                 !is_macro_name(t.text) && !s3lint::is_keyword(t.text) &&
-                 t.text != "std") {
-        all.push_back(j);
-        if (depth == 0) top.push_back(j);
-      }
-    }
-    flush();
-  }
-
-  // 3. Qualifiers, annotations, trailing return, ctor init list.
-  i = params_end;
-  while (i < toks.size()) {
-    const Token& t = toks[i];
-    if (is_ident(t)) {
-      ++i;  // const / noexcept / override / final / annotation macros
-      if (i < toks.size() && is_punct(toks[i], "(")) i = skip_balanced(toks, i);
-      continue;
-    }
-    if (is_punct(t, "->")) {  // trailing return type
-      ++i;
-      while (i < toks.size() && !is_punct(toks[i], "{") &&
-             !is_punct(toks[i], ";")) {
-        if (is_ident(toks[i]) && !s3lint::is_keyword(toks[i].text) &&
-            toks[i].text != "std") {
-          fn.return_type = toks[i].text;
-        }
-        if (is_punct(toks[i], "(")) {
-          i = skip_balanced(toks, i);
-        } else {
-          ++i;
-        }
-      }
-      continue;
-    }
-    if (is_punct(t, ":")) {  // ctor initializer list
-      ++i;
-      while (i < toks.size()) {
-        while (i < toks.size() && !is_punct(toks[i], "(") &&
-               !is_punct(toks[i], "{") && !is_punct(toks[i], ";")) {
-          ++i;
-        }
-        if (i >= toks.size() || is_punct(toks[i], ";")) return std::nullopt;
-        if (is_punct(toks[i], "{") && i >= 1 &&
-            (is_punct(toks[i - 1], ")") || is_punct(toks[i - 1], "}"))) {
-          break;
-        }
-        i = skip_balanced(toks, i);
-        if (i < toks.size() && is_punct(toks[i], ",")) {
-          ++i;
-          continue;
-        }
-        break;
-      }
-      continue;
-    }
-    if (is_punct(t, "=")) {  // = default / = delete / pure virtual
-      while (i < toks.size() && !is_punct(toks[i], ";")) ++i;
-      continue;
-    }
-    if (is_punct(t, ";")) {
-      HeaderParse out{std::move(fn), i + 1, false};
-      return out;
-    }
-    if (is_punct(t, "{")) {
-      HeaderParse out{std::move(fn), i + 1, true};
-      out.fn.has_body = true;
-      return out;
-    }
-    return std::nullopt;  // unexpected shape: bail out conservatively
-  }
-  return std::nullopt;
-}
-
-// The walker proper.
-class Extractor {
+// The view-lifetime pass's function-body visitor over the shared walker.
+class Extractor : public s3lint::DeclWalker {
  public:
-  Extractor(const std::string& path, const std::vector<Token>& toks)
-      : path_(path), toks_(toks) {
-    fm_.path = path;
-  }
+  using DeclWalker::DeclWalker;
 
   FileModel run() {
-    walk_outer(0, toks_.size(), "");
+    walk(&fm_);
     return std::move(fm_);
   }
 
  private:
-  // --- Outer scopes: top level, namespaces, classes. -------------------
-
-  void walk_outer(std::size_t begin, std::size_t end,
-                  const std::string& class_path) {
-    std::size_t i = begin;
-    while (i < end) {
-      const Token& t = toks_[i];
-      if (is_ident(t) && t.text == "template") {
-        i = (i + 1 < end && is_punct(toks_[i + 1], "<"))
-                ? skip_angles(toks_, i + 1)
-                : i + 1;
-        continue;
-      }
-      if (is_ident(t) && t.text == "namespace") {
-        std::size_t j = i + 1;
-        while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";"))
-          ++j;
-        if (j < end && is_punct(toks_[j], "{")) {
-          const std::size_t close = skip_balanced(toks_, j);
-          walk_outer(j + 1, close - 1, class_path);
-          i = close;
-        } else {
-          i = j + 1;
-        }
-        continue;
-      }
-      if (is_ident(t) && t.text == "enum") {
-        std::size_t j = i + 1;
-        while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";"))
-          ++j;
-        i = (j < end && is_punct(toks_[j], "{")) ? skip_balanced(toks_, j)
-                                                 : j + 1;
-        continue;
-      }
-      if (is_ident(t) && (t.text == "class" || t.text == "struct")) {
-        const std::size_t next = parse_class(i, end, class_path, nullptr);
-        if (next != i) {
-          i = next;
-          continue;
-        }
-      }
-      if (is_ident(t) &&
-          (t.text == "using" || t.text == "typedef" || t.text == "friend" ||
-           t.text == "static_assert" || t.text == "extern")) {
-        while (i < end && !is_punct(toks_[i], ";")) {
-          if (is_punct(toks_[i], "{")) {
-            i = skip_balanced(toks_, i);
-            continue;
-          }
-          ++i;
-        }
-        ++i;
-        continue;
-      }
-      if (is_ident(t) && (t.text == "public" || t.text == "private" ||
-                          t.text == "protected")) {
-        i += 2;  // "public" ":"
-        continue;
-      }
-      if (t.kind == TokKind::kDirective || t.kind == TokKind::kString ||
-          t.kind == TokKind::kNumber) {
-        ++i;
-        continue;
-      }
-      if (t.kind == TokKind::kPunct) {
-        i = t.text == "{" ? skip_balanced(toks_, i) : i + 1;
-        continue;
-      }
-      i = parse_declaration(i, end, class_path);
+  void on_function(s3lint::FunctionHeader header, std::size_t body_begin,
+                   std::size_t body_end) override {
+    FunctionModel fn;
+    static_cast<s3lint::FunctionHeader&>(fn) = std::move(header);
+    if (fn.has_body) {
+      begin_function(&fn);
+      walk_body(body_begin, body_end, &fn);
     }
-  }
-
-  // Parses a class/struct definition starting at the class/struct keyword.
-  std::size_t parse_class(std::size_t i, std::size_t end,
-                          const std::string& outer, FunctionModel* fn) {
-    std::size_t j = i + 1;
-    if (j >= end || !is_ident(toks_[j])) return i;
-    const std::string name = toks_[j].text;
-    ++j;
-    while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";") &&
-           !is_punct(toks_[j], "(") && !is_punct(toks_[j], "=")) {
-      if (is_punct(toks_[j], "<")) {
-        j = skip_angles(toks_, j);
-        continue;
-      }
-      ++j;
-    }
-    if (j >= end || !is_punct(toks_[j], "{")) return i;  // not a definition
-    const std::string class_path = outer.empty() ? name : outer + "::" + name;
-    const std::size_t close = skip_balanced(toks_, j);
-    walk_outer(j + 1, close - 1, class_path);
-    // `} var;` — a function-local struct instance.
-    std::size_t k = close;
-    if (fn != nullptr && k < end && is_ident(toks_[k]) &&
-        !s3lint::is_keyword(toks_[k].text) && k + 1 < end &&
-        (is_punct(toks_[k + 1], ";") || is_punct(toks_[k + 1], "{"))) {
-      fn->locals.push_back({class_path, toks_[k].text, stmt_});
-      local_names_.insert(toks_[k].text);
-    }
-    while (k < end && !is_punct(toks_[k], ";")) ++k;
-    return k + 1;
-  }
-
-  // Parses one declaration at class/namespace scope: a function or a data
-  // member (harvested into the members map for receiver-type resolution).
-  std::size_t parse_declaration(std::size_t i, std::size_t end,
-                                const std::string& class_path) {
-    if (auto parsed = parse_function(toks_, i, class_path, path_)) {
-      FunctionModel fn = std::move(parsed->fn);
-      std::size_t next = parsed->next;
-      if (parsed->has_body) {
-        begin_function(&fn);
-        const std::size_t body_end = find_close(next);
-        walk_body(next, body_end, &fn);
-        next = body_end + 1;
-      }
-      fm_.functions.push_back(std::move(fn));
-      return next;
-    }
-    std::size_t stmt_end = i;
-    while (stmt_end < end && !is_punct(toks_[stmt_end], ";")) {
-      if (is_punct(toks_[stmt_end], "{") || is_punct(toks_[stmt_end], "(") ||
-          is_punct(toks_[stmt_end], "[")) {
-        stmt_end = skip_balanced(toks_, stmt_end);
-        continue;
-      }
-      ++stmt_end;
-    }
-    parse_member(i, stmt_end, class_path);
-    return stmt_end + 1;
-  }
-
-  // Extracts member name/type from a data-member statement in [i, stmt_end).
-  void parse_member(std::size_t i, std::size_t stmt_end,
-                    const std::string& class_path) {
-    std::vector<std::size_t> all;  // candidate type idents, any angle depth
-    std::vector<std::size_t> top;  // angle-0 idents (declarator candidates)
-    int angle = 0;
-    for (std::size_t j = i; j < stmt_end; ++j) {
-      const Token& t = toks_[j];
-      if (t.kind == TokKind::kPunct) {
-        if (t.text == "<") ++angle;
-        if (t.text == ">") angle = std::max(0, angle - 1);
-        if (t.text == ">>") angle = std::max(0, angle - 2);
-        if (angle > 0) continue;
-        if (t.text == "=" || t.text == "{") break;
-        continue;
-      }
-      if (!is_ident(t)) continue;
-      if (angle == 0 && is_macro_name(t.text)) break;
-      if (is_macro_name(t.text) || is_decl_qualifier(t.text) ||
-          s3lint::is_keyword(t.text) || t.text == "std") {
-        continue;
-      }
-      all.push_back(j);
-      if (angle == 0) top.push_back(j);
-    }
-    if (top.empty() || all.size() < 2) return;
-    const std::size_t name_pos = top.back();
-    std::string type;
-    for (const std::size_t j : all) {
-      if (j < name_pos) type = toks_[j].text;
-    }
-    if (type.empty()) return;
-    fm_.members[class_path][toks_[name_pos].text] = type;
-  }
-
-  // --- Function bodies. ------------------------------------------------
-
-  std::size_t find_close(std::size_t body_begin) const {
-    int depth = 1;
-    for (std::size_t j = body_begin; j < toks_.size(); ++j) {
-      if (is_punct(toks_[j], "{")) ++depth;
-      if (is_punct(toks_[j], "}")) {
-        if (--depth == 0) return j;
-      }
-    }
-    return toks_.size();
+    fm_.functions.push_back(std::move(fn));
   }
 
   void begin_function(FunctionModel* fn) {
@@ -461,19 +56,31 @@ class Extractor {
       local_names_.insert(p.name);
       if (is_view_type(p.type)) {
         use_candidates_.insert(p.name);
-        // Borrowed view parameter: the Emitter::emit / GroupFn / Reducer
-        // contract — valid only for the duration of the call.
-        Event ev;
-        ev.kind = EventKind::kBind;
-        ev.line = fn->line;
-        ev.seq = seq_++;
-        ev.stmt = stmt_;
-        ev.view = p.name;
-        ev.batch = "<param:" + p.name + ">";
-        ev.via = "borrowed parameter";
-        fn->events.push_back(std::move(ev));
+        bind_borrowed(fn, p.name, fn->line, -1, "borrowed parameter");
       }
     }
+  }
+
+  // Appends an event at the next lexical position of the current statement.
+  Event& add_event(FunctionModel* fn, EventKind kind, int line, int lambda) {
+    Event ev;
+    ev.kind = kind;
+    ev.line = line;
+    ev.seq = seq_++;
+    ev.stmt = stmt_;
+    ev.lambda = lambda;
+    fn->events.push_back(std::move(ev));
+    return fn->events.back();
+  }
+
+  // A view-typed parameter is a borrowed view: the Emitter::emit / GroupFn /
+  // Reducer contract — valid only for the duration of the call.
+  void bind_borrowed(FunctionModel* fn, const std::string& name, int line,
+                     int lambda, const char* via) {
+    Event& ev = add_event(fn, EventKind::kBind, line, lambda);
+    ev.view = name;
+    ev.batch = "<param:" + name + ">";
+    ev.via = via;
   }
 
   // Walks a function body in [begin, end) (end = matching `}`).
@@ -490,10 +97,12 @@ class Extractor {
           ++i;
           continue;
         }
-        if (t.text == "[" && try_lambda(i, end, fn)) {
-          i = lambda_next_;
-          stmt_start = false;
-          continue;
+        if (t.text == "[") {
+          if (const auto next = try_lambda(i, end, fn)) {
+            i = *next;
+            stmt_start = false;
+            continue;
+          }
         }
         stmt_start = false;
         ++i;
@@ -520,13 +129,7 @@ class Extractor {
         in_return_ = true;
         pending_bind_ = "<return>";
         pending_type_ = fn->return_type;
-        Event ev;
-        ev.kind = EventKind::kReturn;
-        ev.line = t.line;
-        ev.seq = seq_++;
-        ev.stmt = stmt_;
-        ev.lambda = lambda;
-        fn->events.push_back(std::move(ev));
+        add_event(fn, EventKind::kReturn, t.line, lambda);
         ++i;
         stmt_start = false;
         continue;
@@ -534,8 +137,13 @@ class Extractor {
 
       // Function-local struct/class definition.
       if ((t.text == "struct" || t.text == "class") && stmt_start) {
-        const std::size_t next = parse_class(i, end, "", fn);
+        s3lint::LocalInstance instance;
+        const std::size_t next = parse_class(i, end, "", &instance);
         if (next != i) {
+          if (!instance.name.empty()) {
+            fn->locals.push_back({instance.type, instance.name, stmt_});
+            local_names_.insert(instance.name);
+          }
           i = next;
           stmt_start = true;
           continue;
@@ -585,14 +193,9 @@ class Extractor {
           !(i > begin && (is_punct(toks_[i - 1], ".") ||
                           is_punct(toks_[i - 1], "->") ||
                           is_punct(toks_[i - 1], "::")))) {
-        Event ev;
-        ev.kind = in_return_ ? EventKind::kReturn : EventKind::kUse;
-        ev.line = t.line;
-        ev.seq = seq_++;
-        ev.stmt = stmt_;
-        ev.lambda = lambda;
-        ev.view = t.text;
-        fn->events.push_back(std::move(ev));
+        add_event(fn, in_return_ ? EventKind::kReturn : EventKind::kUse,
+                  t.line, lambda)
+            .view = t.text;
       }
 
       ++i;
@@ -607,38 +210,6 @@ class Extractor {
     pending_type_.clear();
     stmt_declared_.clear();
     in_return_ = false;
-  }
-
-  // Builds the receiver identifier chain for the call whose callee token is
-  // at `pos`, walking backwards over `.`, `->`, `::`, subscripts, and
-  // intermediate calls.
-  void build_chain(std::size_t pos, std::size_t begin,
-                   std::vector<std::string>* chain) const {
-    std::size_t j = pos;
-    while (j > begin + 1) {
-      const Token& sep = toks_[j - 1];
-      if (!(is_punct(sep, ".") || is_punct(sep, "->") || is_punct(sep, "::")))
-        break;
-      std::size_t k = j - 2;
-      while (k > begin &&
-             (is_punct(toks_[k], "]") || is_punct(toks_[k], ")"))) {
-        const std::string closer = toks_[k].text;
-        const char* open = closer == "]" ? "[" : "(";
-        int d = 1;
-        --k;
-        while (k > begin && d > 0) {
-          if (toks_[k].kind == TokKind::kPunct) {
-            if (toks_[k].text == closer) ++d;
-            if (toks_[k].text == open) --d;
-          }
-          if (d > 0) --k;
-        }
-        if (k > begin) --k;
-      }
-      if (!is_ident(toks_[k])) break;
-      chain->insert(chain->begin(), toks_[k].text);
-      j = k;
-    }
   }
 
   // Records the call whose callee token is at `i` (followed by '(').
@@ -791,16 +362,8 @@ class Extractor {
   std::size_t handle_assignment(std::size_t i, std::size_t end,
                                 FunctionModel* fn, int lambda) {
     const std::string& name = toks_[i].text;
-    const bool local = local_names_.count(name) != 0;
-    Event ev;
-    ev.line = toks_[i].line;
-    ev.seq = seq_++;
-    ev.stmt = stmt_;
-    ev.lambda = lambda;
-    if (local) {
-      ev.kind = EventKind::kAssign;
-      ev.view = name;
-      fn->events.push_back(std::move(ev));
+    if (local_names_.count(name) != 0) {
+      add_event(fn, EventKind::kAssign, toks_[i].line, lambda).view = name;
       pending_bind_ = name;
       pending_type_.clear();  // graph falls back to the declared type
       return i + 2;           // past NAME =; main loop scans the RHS
@@ -808,42 +371,32 @@ class Extractor {
     // RHS of a non-local store: a bare tracked view (`member_ = v;`) is an
     // event; a direct source call (`member_ = batch_.key(0);`) flows through
     // pending_bind_ as "<store:NAME>".
-    std::size_t j = i + 2;
+    Event& ev = add_event(fn, EventKind::kMemberStore, toks_[i].line, lambda);
+    ev.via = name;
+    const std::size_t j = i + 2;
     if (j < end && is_ident(toks_[j]) && j + 1 < end &&
         is_punct(toks_[j + 1], ";") && use_candidates_.count(toks_[j].text)) {
-      ev.kind = EventKind::kMemberStore;
       ev.view = toks_[j].text;
-      ev.via = name;
-      fn->events.push_back(std::move(ev));
       return j + 1;
     }
-    ev.kind = EventKind::kMemberStore;
-    ev.via = name;
     // Recorded with an empty view: only meaningful if a source call in the
     // RHS binds to "<store:NAME>"; the graph drops it otherwise.
-    fn->events.push_back(std::move(ev));
     pending_bind_ = "<store:" + name + ">";
     pending_type_.clear();
     return i + 2;
   }
 
-  // Detects a lambda introducer at `[` (index i); when confirmed, records
-  // LambdaInfo (with submit association) and walks the body with the new
-  // lambda id. View-typed lambda parameters become borrowed views inside.
-  bool try_lambda(std::size_t i, std::size_t end, FunctionModel* fn) {
-    if (i > 0) {
-      const Token& prev = toks_[i - 1];
-      if (is_ident(prev) && !s3lint::is_keyword(prev.text)) return false;
-      if (prev.kind == TokKind::kPunct &&
-          (prev.text == "]" || prev.text == ")")) {
-        return false;
-      }
-    }
-    std::size_t j = skip_balanced(toks_, i);  // past ']'
+  // Records the lambda introduced at `[` (index i), with its submit
+  // association, and walks its body under the new lambda id. View-typed
+  // lambda parameters become borrowed views inside. Returns where the walk
+  // resumes, or nullopt when the `[` is not a lambda.
+  std::optional<std::size_t> try_lambda(std::size_t i, std::size_t end,
+                                        FunctionModel* fn) {
+    const std::optional<s3lint::LambdaShape> lambda = lambda_at(i, end);
+    if (!lambda) return std::nullopt;
+    // Minimal param harvest: `type name` pairs at angle depth 0.
     std::vector<std::pair<std::string, std::string>> lambda_params;
-    if (j < end && is_punct(toks_[j], "(")) {
-      const std::size_t params_close = skip_balanced(toks_, j);
-      // Minimal param harvest: `type name` pairs at angle depth 0.
+    if (lambda->params_open != 0) {
       std::vector<std::size_t> idents;
       int depth = 0;
       auto flush = [&] {
@@ -853,7 +406,8 @@ class Extractor {
         }
         idents.clear();
       };
-      for (std::size_t k = j + 1; k + 1 < params_close; ++k) {
+      for (std::size_t k = lambda->params_open + 1;
+           k + 1 < lambda->params_close; ++k) {
         const Token& t = toks_[k];
         if (t.kind == TokKind::kPunct) {
           if (t.text == "<") ++depth;
@@ -867,20 +421,7 @@ class Extractor {
         }
       }
       flush();
-      j = params_close;
     }
-    while (j < end && is_ident(toks_[j]) &&
-           (toks_[j].text == "mutable" || toks_[j].text == "noexcept" ||
-            toks_[j].text == "constexpr")) {
-      ++j;
-    }
-    if (j < end && is_punct(toks_[j], "->")) {
-      while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";") &&
-             !is_punct(toks_[j], ",") && !is_punct(toks_[j], ")")) {
-        ++j;
-      }
-    }
-    if (j >= end || !is_punct(toks_[j], "{")) return false;
 
     LambdaInfo info;
     info.id = lambda_count_++;
@@ -902,29 +443,17 @@ class Extractor {
       local_names_.insert(pname);
       if (is_view_type(type)) {
         use_candidates_.insert(pname);
-        Event ev;
-        ev.kind = EventKind::kBind;
-        ev.line = toks_[i].line;
-        ev.seq = seq_++;
-        ev.stmt = stmt_;
-        ev.lambda = info.id;
-        ev.view = pname;
-        ev.batch = "<param:" + pname + ">";
-        ev.via = "borrowed lambda parameter";
-        fn->events.push_back(std::move(ev));
+        bind_borrowed(fn, pname, toks_[i].line, info.id,
+                      "borrowed lambda parameter");
       }
     }
-    const std::size_t body_end = find_close(j + 1);
-    walk_body(j + 1, std::min(body_end, end), fn, info.id);
+    walk_body(lambda->body_begin, lambda->body_end, fn, info.id);
     pending_bind_ = saved_bind;
     pending_type_ = saved_type;
     in_return_ = saved_return;
-    lambda_next_ = std::min(body_end + 1, end);
-    return true;
+    return lambda->next;
   }
 
-  const std::string& path_;
-  const std::vector<Token>& toks_;
   FileModel fm_;
 
   // Per-function walk state.
@@ -938,7 +467,6 @@ class Extractor {
   std::set<std::string> use_candidates_;
   std::set<std::string> stmt_declared_;
   std::vector<std::pair<std::size_t, std::size_t>> submit_ranges_;
-  std::size_t lambda_next_ = 0;
 };
 
 }  // namespace

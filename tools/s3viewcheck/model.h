@@ -1,35 +1,37 @@
-// Per-file structural model for s3viewcheck: for every function with a body,
-// where arena-backed views are born (KVBatch::key/value calls bound to
-// locals, string_view parameters at the emit/reduce boundary, wrapper calls
-// resolved through project summaries), where arenas are invalidated
+// Per-file model for s3viewcheck: the shared declarations (class member
+// types and function headers — read by the declaration walker in
+// tools/s3lint/decl_walker.h) plus, for every function with a body, where
+// arena-backed views are born (KVBatch::key/value calls bound to locals,
+// string_view parameters at the emit/reduce boundary, wrapper calls resolved
+// through project summaries), where arenas are invalidated
 // (append/clear/prefault receivers, std::move'd batches, reassignments), and
 // where views escape (returns, stores into members, uses inside lambdas that
 // are submitted to a worker pool).
 //
-// Built on s3lint's token stream (tools/s3lint/lexer.h) following the same
-// walker discipline as tools/s3lockcheck/model.cpp: token-level, not a real
-// C++ parse, understanding just enough structure (namespaces, classes,
-// function headers with ctor init lists, statement boundaries, lambdas) to
-// order every event lexically. Precision notes:
+// The body visitor is token-level, not a real C++ parse: it understands just
+// enough (statement boundaries, local declarations, assignments, returns,
+// lambdas) to order every event lexically. Precision notes:
 //  * Only *named* view locals are tracked (`auto k = batch.key(i)`); a view
 //    consumed in place (`fn(batch.key(i))`) cannot dangle and generates no
 //    events, which keeps the false-positive rate of a gating check near
 //    zero.
 //  * The walker records syntax; type resolution (is this receiver a
-//    KVBatch?) happens in the graph layer, which merges class-member tables
-//    across files. Events carry raw identifier chains for that reason.
+//    KVBatch?) happens in the graph layer, over the project index's merged
+//    class-member table. Events carry raw identifier chains for that reason.
 //  * Loop back-edges are not modeled: a bind-use-append loop reads as
 //    bind < use < append lexically. DebugView (the runtime half,
 //    common/view_checks.h) catches that shape instead.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "s3lint/decl_walker.h"
 #include "s3lint/lexer.h"
 
 namespace s3viewcheck {
+
+using s3lint::Param;
 
 enum class EventKind {
   kBind,         // view born: walker-level only for borrowed view params
@@ -82,39 +84,23 @@ struct LambdaInfo {
   bool submitted = false;
 };
 
-struct Param {
-  std::string type;  // last class-ish identifier of the declared type
-  std::string name;
-};
-
 struct LocalDecl {
   std::string type;
   std::string name;
   int stmt = 0;
 };
 
-struct FunctionModel {
-  std::string class_name;  // "" for free functions
-  std::string name;
-  std::string display;     // "Class::name" or "name" (diagnostics)
-  std::string file;
-  int line = 0;
-  bool has_body = false;
-  std::string return_type;  // last class-ish identifier of the return type
-  std::vector<Param> params;
+struct FunctionModel : s3lint::FunctionHeader {
   std::vector<LocalDecl> locals;
   std::vector<Event> events;
   std::vector<CallSite> calls;
   std::vector<LambdaInfo> lambdas;
 };
 
-struct FileModel {
-  std::string path;
+// Member types see through templates, so `std::vector<KVBatch> buffers_`
+// records KVBatch: element access through the member is arena access.
+struct FileModel : s3lint::FileDecls {
   std::vector<FunctionModel> functions;
-  // class path -> member name -> member type (last class-ish identifier, so
-  // `std::vector<KVBatch> buffers_` records KVBatch — element access through
-  // the member is arena access).
-  std::map<std::string, std::map<std::string, std::string>> members;
 };
 
 FileModel extract_model(const std::string& path,

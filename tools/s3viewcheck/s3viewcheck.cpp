@@ -1,100 +1,23 @@
 #include "s3viewcheck/s3viewcheck.h"
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
-
-#include "s3lint/lexer.h"
 #include "s3viewcheck/graph.h"
 #include "s3viewcheck/model.h"
 
 namespace s3viewcheck {
-namespace {
 
-namespace fs = std::filesystem;
-
-// Only src/ is analyzed: tests intentionally construct the pathological
-// view-lifetime shapes (death-test fixtures, stale-view regressions) that
-// the production tree must never contain.
-bool is_cpp_source(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc";
+const s3lint::AnalyzerPass& viewcheck_pass() {
+  static const s3lint::AnalyzerPass kPass{
+      "s3viewcheck",
+      "Whole-project arena/view lifetime and escape analysis.",
+      "dump the merged view/arena model and exit",
+      {"dangling-view", "append-after-read", "view-outlives-arena",
+       "cross-thread-view"},
+      s3lint::analyze_with<ProjectGraph>(extract_model)};
+  return kPass;
 }
-
-std::string slashes(std::string s) {
-  std::replace(s.begin(), s.end(), '\\', '/');
-  return s;
-}
-
-}  // namespace
 
 int run_viewcheck(const ViewcheckOptions& options, std::string* output) {
-  std::ostringstream out;
-  const fs::path base(options.root);
-  const fs::path src = base / "src";
-  if (!fs::exists(src)) {
-    out << "s3viewcheck: no src/ under " << options.root << "\n";
-    *output = out.str();
-    return 2;
-  }
-
-  std::vector<std::string> paths;
-  for (const auto& entry : fs::recursive_directory_iterator(src)) {
-    if (!entry.is_regular_file() || !is_cpp_source(entry.path())) continue;
-    paths.push_back(
-        slashes(fs::relative(entry.path(), base).generic_string()));
-  }
-  std::sort(paths.begin(), paths.end());
-
-  std::vector<FileModel> models;
-  std::map<std::string, s3lint::Suppressions> suppressions;
-  for (const std::string& rel : paths) {
-    std::ifstream in(base / rel, std::ios::binary);
-    if (!in) {
-      out << "s3viewcheck: cannot read " << rel << "\n";
-      *output = out.str();
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const s3lint::TokenizedFile tokenized = s3lint::tokenize(buf.str());
-    models.push_back(extract_model(rel, tokenized));
-    suppressions.emplace(
-        rel, s3lint::Suppressions::parse(tokenized.comments, "s3viewcheck:"));
-  }
-
-  const ProjectGraph graph(std::move(models));
-  if (options.dump_graph) {
-    graph.dump(out);
-    *output = out.str();
-    return 0;
-  }
-
-  std::set<std::string> rules = options.rules;
-  if (rules.empty()) {
-    for (const std::string& rule : ProjectGraph::all_rules()) {
-      rules.insert(rule);
-    }
-  }
-
-  int reported = 0;
-  for (const Finding& f : graph.analyze(rules)) {
-    const auto it = suppressions.find(f.file);
-    if (it != suppressions.end() && it->second.suppressed(f.rule, f.line)) {
-      continue;
-    }
-    out << f.file << ":" << f.line << ": error: [" << f.rule << "] "
-        << f.message << "\n";
-    ++reported;
-  }
-  if (reported > 0) {
-    out << "s3viewcheck: " << reported << " finding"
-        << (reported == 1 ? "" : "s") << " in " << paths.size() << " files\n";
-  }
-  *output = out.str();
-  return reported > 0 ? 1 : 0;
+  return s3lint::run_analyzer(viewcheck_pass(), options, output);
 }
 
 }  // namespace s3viewcheck

@@ -1,21 +1,19 @@
-// Driver for the whole-project arena/view lifetime analyzer. Collects every
-// C++ source under <root>/src, extracts per-file models, builds the merged
-// project view graph, and reports findings in the same
-// `path:line: error: [rule] message` format as s3lint and s3lockcheck (one
-// tool-chain, one grep pattern). Exit codes match too: 0 clean, 1 findings,
-// 2 usage/IO.
+// Entry points of the whole-project arena/view lifetime analyzer. The shared
+// driver (tools/s3lint/analyzer.h) collects every C++ source under <root>/src
+// and reports; this pass extracts the per-file view models and builds the
+// merged project view graph over them.
 #pragma once
 
-#include <set>
 #include <string>
+
+#include "s3lint/analyzer.h"
 
 namespace s3viewcheck {
 
-struct ViewcheckOptions {
-  std::string root = ".";       // project root (containing src/)
-  std::set<std::string> rules;  // empty = all rules
-  bool dump_graph = false;      // print the merged model instead of checking
-};
+using ViewcheckOptions = s3lint::AnalyzerOptions;
+
+// The view-lifetime pass, as the shared driver runs it.
+const s3lint::AnalyzerPass& viewcheck_pass();
 
 int run_viewcheck(const ViewcheckOptions& options, std::string* output);
 
