@@ -274,6 +274,60 @@ void BM_MapRunnerPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_MapRunnerPrefix)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 
+// Output collection alone: a LocalEngine (4 map, 4 reduce workers) runs one
+// heavy wordcount job (amplify 2) as `batches` one-block batches over
+// 256 KiB blocks, untimed; only finalize_job is timed. Two or more batches
+// fold each partition's runs on the reduce pool, then every run merges into
+// the key-ordered output. Args are {batches, partitions}.
+void BM_FinalizeJob(benchmark::State& state) {
+  const auto batches = static_cast<std::uint64_t>(state.range(0));
+  const auto partitions = static_cast<std::uint32_t>(state.range(1));
+  dfs::DfsNamespace ns;
+  dfs::BlockStore store;
+  workloads::TextCorpusGenerator corpus;
+  dfs::PlacementTopology topo;
+  topo.nodes.push_back({NodeId(0), RackId(0)});
+  dfs::RoundRobinPlacement placement(topo);
+  const FileId file = corpus
+                          .generate_file(ns, store, placement, "corpus",
+                                         batches, ByteSize::kib(256))
+                          .value();
+  engine::LocalEngineOptions options;
+  options.map_workers = 4;
+  options.reduce_workers = 4;
+  engine::LocalEngine engine(ns, store, options);
+  const std::vector<BlockId>& blocks = ns.file(file).blocks;
+
+  std::uint64_t next_id = 0;
+  std::uint64_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const JobId job(next_id);
+    S3_CHECK(engine
+                 .register_job(workloads::make_heavy_wordcount_job(
+                     job, file, /*amplify=*/2, partitions))
+                 .is_ok());
+    for (const BlockId block : blocks) {
+      S3_CHECK(engine.run_batch({BatchId(next_id), {block}, {job}}).is_ok());
+    }
+    ++next_id;
+    state.ResumeTiming();
+    auto result = engine.finalize_job(job);
+    S3_CHECK(result.is_ok());
+    records = result.value().output.size();
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records));
+}
+// UseRealTime: the folds run on the reduce pool's threads. A fixed
+// iteration count, because each iteration first runs its batches untimed.
+BENCHMARK(BM_FinalizeJob)
+    ->ArgsProduct({{1, 8}, {1, 8}})
+    ->Iterations(20)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Same map-side data path fanned out over the work-stealing pool: one block
 // per map task, `workers` pinned-pool workers, arena pool recycling batches
 // per worker shard. Args are {members, workers}. Distinct name from

@@ -47,6 +47,21 @@
 #                                    admission-latency Prometheus snapshot
 #                                    in build/storm-admission.prom (CI
 #                                    uploads it as an artifact)
+#   scripts/check.sh --ledger [--base REF] [--pairs N] [--workload W]...
+#                    [--seconds S] [--seed N]
+#                                    end-to-end A/B: check out REF (default:
+#                                    the merge-base with main) in a temporary
+#                                    git worktree, build it and this checkout
+#                                    (working tree included) each with its own
+#                                    bench/e2e_ledger/run.sh into its own
+#                                    build-e2e/, run N alternating base/change
+#                                    pairs (default 10) of each workload
+#                                    (default: every BENCHMARK.json workload)
+#                                    at S seconds (default 10), then
+#                                    bench/e2e_ledger/compare.py; fails on a
+#                                    REGRESSION or an incorrect run. Results
+#                                    stay in build-ledger/; the worktree is
+#                                    removed on exit. Not part of --all.
 #   scripts/check.sh --all           tier-1 + lint + lockcheck
 #                                    + viewcheck + asan
 #                                    + ubsan + tsan
@@ -62,8 +77,26 @@ cd "$(dirname "$0")/.."
 
 SKIP_RELEASE=0
 declare -a MODES=()
-for arg in "$@"; do
+LEDGER_BASE=""
+LEDGER_PAIRS=10
+LEDGER_SECONDS=10
+LEDGER_SEED=1
+declare -a LEDGER_WORKLOADS=()
+need_value() {  # <flag> <remaining argument count>
+  if [[ "$2" -lt 2 ]]; then
+    echo "check.sh: $1 needs a value" >&2
+    exit 2
+  fi
+}
+while [[ $# -gt 0 ]]; do
+  arg="$1"
   case "$arg" in
+    --ledger) MODES+=(ledger) ;;
+    --base) need_value "$arg" $#; LEDGER_BASE="$2"; shift ;;
+    --pairs) need_value "$arg" $#; LEDGER_PAIRS="$2"; shift ;;
+    --seconds) need_value "$arg" $#; LEDGER_SECONDS="$2"; shift ;;
+    --seed) need_value "$arg" $#; LEDGER_SEED="$2"; shift ;;
+    --workload) need_value "$arg" $#; LEDGER_WORKLOADS+=("$2"); shift ;;
     --skip-release) SKIP_RELEASE=1 ;;
     --asan) MODES+=(asan) ;;
     --ubsan) MODES+=(ubsan) ;;
@@ -80,6 +113,7 @@ for arg in "$@"; do
     --all) MODES+=(tier1 lint lockcheck viewcheck asan ubsan tsan tidy format release trace bench-smoke flight chaos storm) ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
+  shift
 done
 # No explicit mode: the classic tier-1 (+ Release unless skipped) flow.
 if [[ ${#MODES[@]} -eq 0 ]]; then
@@ -104,6 +138,63 @@ bench_median_flight_ns() {  # <S3_FLIGHT value> -> median cpu time (ns)
     --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
     --benchmark_format=csv 2> /dev/null \
     | awk -F, '/_median/ { print $4; exit }'
+}
+
+run_ledger() {
+  local base="$LEDGER_BASE"
+  if [[ -z "$base" ]]; then
+    if ! base="$(git merge-base HEAD main 2> /dev/null)"; then
+      echo "check.sh: no merge-base with main; pass --base REF" >&2
+      exit 2
+    fi
+  fi
+  base="$(git rev-parse --verify "${base}^{commit}")"
+  if [[ ${#LEDGER_WORKLOADS[@]} -eq 0 ]]; then
+    mapfile -t LEDGER_WORKLOADS < <(python3 -c '
+import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]:
+    print(w["name"])')
+  fi
+  local workdir
+  workdir="$(mktemp -d)"
+  local tree="${workdir}/base"
+  # The trap runs at exit, after this function's locals are gone.
+  LEDGER_TREE="$tree"
+  LEDGER_WORKDIR="$workdir"
+  trap 'git worktree remove --force "$LEDGER_TREE" > /dev/null 2>&1 || true
+        git worktree prune
+        rm -rf "$LEDGER_WORKDIR"' EXIT
+  git worktree add --detach "$tree" "$base" > /dev/null
+  local out="build-ledger"
+  rm -rf "$out"
+  mkdir -p "$out"
+  echo "=== ledger: base $(git rev-parse --short=12 "$base") vs this" \
+    "checkout, ${LEDGER_PAIRS} pairs x ${LEDGER_WORKLOADS[*]}" \
+    "at ${LEDGER_SECONDS}s, seed ${LEDGER_SEED} ==="
+  local -a parents=() changes=()
+  local workload i side first second file
+  for workload in "${LEDGER_WORKLOADS[@]}"; do
+    for ((i = 1; i <= LEDGER_PAIRS; ++i)); do
+      # Alternate which side runs first: base, change, change, base, ...
+      if (( i % 2 == 1 )); then first=base; second=change; else
+        first=change; second=base; fi
+      for side in "$first" "$second"; do
+        file="${out}/${workload}-${i}-${side}.out"
+        local root="."
+        [[ "$side" == base ]] && root="$tree"
+        bash "${root}/bench/e2e_ledger/run.sh" --workload "$workload" \
+          --seed "$LEDGER_SEED" --seconds "$LEDGER_SECONDS" --trace 0 \
+          > "$file" 2> "${file%.out}.log"
+        if [[ "$side" == base ]]; then parents+=("$file"); else
+          changes+=("$file"); fi
+      done
+      echo "ledger: ${workload} pair ${i}/${LEDGER_PAIRS} done"
+    done
+  done
+  # compare.py exits 1 on a REGRESSION or an incorrect run; pipefail and
+  # set -e carry that out as this script's status.
+  python3 bench/e2e_ledger/compare.py --parent "${parents[@]}" \
+    --change "${changes[@]}" | tee "${out}/compare.txt"
 }
 
 run_sanitized() {  # <name> <S3_SANITIZE value>
@@ -330,6 +421,7 @@ for mode in "${MODES[@]}"; do
       ./build-tsan/tests/s3_tsan_stress_tests \
         --gtest_filter='TsanStressTest.Service*'
       ;;
+    ledger) run_ledger ;;
     release)
       echo "=== Release build ==="
       cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release

@@ -23,11 +23,15 @@ void KVBatch::prefault(std::size_t records, std::size_t bytes) {
 
 void KVBatch::sort_by_key() {
   const std::string_view arena(arena_);
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [arena](const Entry& a, const Entry& b) {
-                     return arena.substr(a.offset, a.key_len) <
-                            arena.substr(b.offset, b.key_len);
-                   });
+  const auto key_less = [arena](const Entry& a, const Entry& b) {
+    return arena.substr(a.offset, a.key_len) <
+           arena.substr(b.offset, b.key_len);
+  };
+  // Records that already ascend (a reducer's output, emitted in merge
+  // order) cost one pass and keep their entry order.
+  if (!std::is_sorted(entries_.begin(), entries_.end(), key_less)) {
+    std::stable_sort(entries_.begin(), entries_.end(), key_less);
+  }
   sorted_ = true;
 }
 

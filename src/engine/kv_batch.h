@@ -97,7 +97,7 @@ class KVBatch {
   // Reorders the entry index so keys ascend (stable: equal keys keep their
   // append order). Only the 16-byte entries move; the arena is untouched,
   // so held views stay valid — they just no longer correspond to the same
-  // index.
+  // index. Entries that already ascend are found in one pass and not moved.
   void sort_by_key();
 
   // True iff keys ascend in index order (set by sort_by_key, cleared by

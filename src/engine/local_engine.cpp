@@ -86,6 +86,7 @@ Status LocalEngine::register_job(JobSpec spec) {
   }
   shuffle_.register_job(spec.id, spec.num_reduce_tasks);
   JobState state;
+  state.runs.resize(spec.num_reduce_tasks);
   state.spec = std::move(spec);
   const JobId id = state.spec.id;
   jobs_.emplace(id, std::move(state));
@@ -244,6 +245,32 @@ const char* fault_cause_name(FaultKind kind) {
   return "error";
 }
 
+// K-way merges the partitions' final runs (each sorted by key, keys
+// disjoint across runs) into owned, key-ordered records.
+std::vector<KeyValue> merge_partitions(const std::vector<KVBatch>& runs) {
+  std::size_t total = 0;
+  for (const KVBatch& run : runs) total += run.size();
+  std::vector<KeyValue> out;
+  out.reserve(total);
+  std::vector<std::size_t> pos(runs.size(), 0);
+  while (true) {
+    std::size_t best = runs.size();
+    for (std::size_t p = 0; p < runs.size(); ++p) {
+      if (pos[p] == runs[p].size()) continue;
+      if (best == runs.size() ||
+          std::string_view(runs[p].key(pos[p])) <
+              std::string_view(runs[best].key(pos[best]))) {
+        best = p;
+      }
+    }
+    if (best == runs.size()) return out;
+    const KVBatch& run = runs[best];
+    out.push_back(KeyValue{std::string(run.key(pos[best])),
+                           std::string(run.value(pos[best]))});
+    ++pos[best];
+  }
+}
+
 }  // namespace
 
 void LocalEngine::run_map_prefault(const BatchExec& batch) {
@@ -295,21 +322,18 @@ void LocalEngine::run_reduce_prefault() {
   obs::PhaseTimer timer(obs::EnginePhase::kReducePrefault);
   S3_TRACE_SPAN_NAMED(span, "engine", "reduce_prefault");
   const std::size_t map_workers = map_pool_->size();
-  for (std::size_t w = 0; w < reduce_pool_->size(); ++w) {
-    const bool accepted = reduce_pool_->submit_to(w, [this, map_workers] {
-      const int worker = reduce_pool_->current_worker_index();
-      const std::size_t shard =
-          map_workers + (worker >= 0 ? static_cast<std::size_t>(worker) : 0);
-      // Reduce-side arenas only transit consumed runs, so a modest fixed
-      // warm size suffices (the runs themselves arrive from the map side).
-      arena_pool_->prefault(shard, 2, 4096, 256 * 1024);
-    });
-    (void)accepted;
-  }
-  try {
-    reduce_pool_->wait_idle();
-  } catch (...) {
-  }
+  // Best effort: a rejected or failed warm-up only costs page faults later.
+  (void)run_on_reduce_pool(
+      reduce_pool_->size(),
+      [this, map_workers](std::size_t) {
+        const int worker = reduce_pool_->current_worker_index();
+        const std::size_t shard =
+            map_workers + (worker >= 0 ? static_cast<std::size_t>(worker) : 0);
+        // Reduce-side arenas only transit consumed runs, so a modest fixed
+        // warm size suffices (the runs themselves arrive from the map side).
+        arena_pool_->prefault(shard, 2, 4096, 256 * 1024);
+      },
+      "reduce prefault");
   const obs::PhaseSample sample = timer.stop();
   obs::PhaseTimer::annotate(span, sample);
 }
@@ -486,14 +510,25 @@ Status LocalEngine::run_wave(const BatchExec& batch,
   S3_TRACE_SPAN_NAMED(reduce_wave_span, "engine", "reduce_wave");
   reduce_wave_span.arg("batch", batch.id.value()).arg("jobs", specs.size());
   obs::PhaseTimer reduce_timer(obs::EnginePhase::kReduce);
+  // Indexed by member (position in specs), then partition: each task stores
+  // its one output run in its own slot.
   struct ReduceCollect {
     AnnotatedMutex mu{LockRank::kEngineReduceCollect};
-    std::unordered_map<JobId, std::vector<KeyValue>> outputs S3_GUARDED_BY(mu);
-    std::unordered_map<JobId, JobCounters> counters S3_GUARDED_BY(mu);
+    std::vector<std::vector<KVBatch>> runs S3_GUARDED_BY(mu);
+    std::vector<JobCounters> counters S3_GUARDED_BY(mu);
     Status error S3_GUARDED_BY(mu) = Status::ok();
   } collect;
+  {
+    MutexLock lock(collect.mu);
+    collect.runs.resize(specs.size());
+    collect.counters.resize(specs.size());
+    for (std::size_t m = 0; m < specs.size(); ++m) {
+      collect.runs[m].resize(specs[m]->num_reduce_tasks);
+    }
+  }
 
-  for (const JobSpec* spec : specs) {
+  for (std::size_t m = 0; m < specs.size(); ++m) {
+    const JobSpec* spec = specs[m];
     for (std::uint32_t p = 0; p < spec->num_reduce_tasks; ++p) {
       ReduceTaskSpec task;
       {
@@ -506,7 +541,7 @@ Status LocalEngine::run_wave(const BatchExec& batch,
       // same worker, so one worker's arenas see one partition's runs.
       const bool accepted = reduce_pool_->submit_to(
           p % reduce_pool_->size(),
-          [this, task, batch_id = batch.id, &collect, &specs, &ctx] {
+          [this, task, m, batch_id = batch.id, &collect, &specs, &ctx] {
         // Flight correlation: reduce tasks are job-affine, so records name
         // both the owning job and the batch whose wave scheduled them.
         obs::CorrelationScope task_corr(task.job->id, batch_id, NodeId());
@@ -522,11 +557,9 @@ Status LocalEngine::run_wave(const BatchExec& batch,
           if (collect.error.is_ok()) collect.error = outcome.status();
           return;
         }
-        auto value = std::move(outcome).value();
-        auto& out = collect.outputs[task.job->id];
-        out.insert(out.end(), std::make_move_iterator(value.output.begin()),
-                   std::make_move_iterator(value.output.end()));
-        collect.counters[task.job->id] += value.counters;
+        ReduceTaskOutcome& value = outcome.value();
+        collect.runs[m][task.partition] = std::move(value.output);
+        collect.counters[m] += value.counters;
       });
       if (!accepted) {
         MutexLock lock(collect.mu);
@@ -550,8 +583,13 @@ Status LocalEngine::run_wave(const BatchExec& batch,
   reduce_wave_span.end();
 
   // --- Commit: member state is only touched after the whole wave succeeded,
-  // so a failed wave leaves no trace and can be re-run exactly. ---
+  // so a failed wave leaves no trace and can be re-run exactly. A fold that
+  // fails after the commit leaves the batch committed and its partition's
+  // runs unfolded; finalize_job folds any partition still holding several. ---
   obs::PhaseTimer merge_timer(obs::EnginePhase::kMerge);
+  // Incremental merging folds these members' runs once mu_ is released.
+  std::vector<std::pair<const JobSpec*, std::vector<std::vector<KVBatch>>>>
+      to_fold;
   {
     MutexLock outcome_lock(map_collect.mu);
     MutexLock collect_lock(collect.mu);
@@ -576,22 +614,31 @@ Status LocalEngine::run_wave(const BatchExec& batch,
       sharing.set(static_cast<double>(scan_counters_.blocks_logical) /
                   static_cast<double>(scan_counters_.blocks_physical));
     }
-    for (const JobSpec* spec : specs) {
-      JobState& st = state(spec->id);
-      st.counters += collect.counters[spec->id];
-      auto& partial = collect.outputs[spec->id];
-      st.partials.insert(st.partials.end(),
-                         std::make_move_iterator(partial.begin()),
-                         std::make_move_iterator(partial.end()));
+    for (std::size_t m = 0; m < specs.size(); ++m) {
+      JobState& st = state(specs[m]->id);
+      st.counters += collect.counters[m];
+      for (std::size_t p = 0; p < st.runs.size(); ++p) {
+        st.runs[p].push_back(std::move(collect.runs[m][p]));
+      }
       st.batches_run += 1;
       if (options_.incremental_merge && st.batches_run > 1) {
-        st.partials = re_reduce(st.spec, std::move(st.partials));
+        to_fold.emplace_back(specs[m], std::move(st.runs));
       }
     }
   }
+  // The driver is the only caller that touches these members' state between
+  // waves, so their runs may leave mu_ while the pool folds them. Every
+  // member is folded; the first error is returned.
+  Status folded = Status::ok();
+  for (auto& [spec, runs] : to_fold) {
+    const Status status = fold_partitions(*spec, runs);
+    if (folded.is_ok()) folded = status;
+    MutexLock lock(mu_);
+    state(spec->id).runs = std::move(runs);
+  }
   merge_timer.stop();
   export_locality_metrics();
-  return Status::ok();
+  return folded;
 }
 
 StatusOr<BatchOutcome> LocalEngine::run_batch(const BatchExec& batch) {
@@ -726,29 +773,41 @@ StatusOr<BatchOutcome> LocalEngine::run_batch(const BatchExec& batch) {
   }
 }
 
-std::vector<KeyValue> LocalEngine::re_reduce(const JobSpec& spec,
-                                             std::vector<KeyValue> records) {
-  std::vector<KeyValue> merged;
-  merged.reserve(records.size());
-  class CollectEmitter final : public Emitter {
-   public:
-    explicit CollectEmitter(std::vector<KeyValue>& out) : out_(&out) {}
-    void emit(std::string_view key, std::string_view value) override {
-      out_->push_back(KeyValue{std::string(key), std::string(value)});
+Status LocalEngine::run_on_reduce_pool(
+    std::size_t count, const std::function<void(std::size_t)>& task,
+    const char* what) {
+  Status rejected = Status::ok();
+  for (std::size_t i = 0; i < count; ++i) {
+    const bool accepted = reduce_pool_->submit_to(
+        i % reduce_pool_->size(), [&task, i] { task(i); });
+    if (!accepted && rejected.is_ok()) {
+      rejected = Status::internal(std::string("reduce pool rejected a ") +
+                                  what + " (pool shutting down)");
     }
+  }
+  try {
+    reduce_pool_->wait_idle();
+  } catch (const std::exception& e) {
+    return Status::internal(std::string(what) + " threw: " + e.what());
+  }
+  return rejected;
+}
 
-   private:
-    std::vector<KeyValue>* out_;
-  } collector(merged);
-  auto reducer = spec.reducer_factory();
-  std::vector<std::string_view> value_views;
-  sort_and_group(std::move(records),
-                 [&](const std::string& key,
-                     const std::vector<std::string>& values) {
-                   value_views.assign(values.begin(), values.end());
-                   reducer->reduce(key, value_views, collector);
-                 });
-  return merged;
+Status LocalEngine::fold_partitions(const JobSpec& spec,
+                                    std::vector<std::vector<KVBatch>>& runs) {
+  S3_TRACE_SPAN_NAMED(span, "engine", "fold_partitions");
+  span.arg("job", spec.id.value()).arg("partitions", runs.size());
+  // Partition p folds on worker p % size, where the reduce wave built its
+  // runs.
+  return run_on_reduce_pool(
+      runs.size(),
+      [&](std::size_t p) {
+        if (runs[p].size() < 2) return;
+        KVBatch folded = fold_runs(spec, runs[p]);
+        runs[p].clear();
+        runs[p].push_back(std::move(folded));
+      },
+      "reduce fold");
 }
 
 StatusOr<JobResult> LocalEngine::finalize_job(JobId job) {
@@ -765,19 +824,25 @@ StatusOr<JobResult> LocalEngine::finalize_job(JobId job) {
   // hold the engine leaf lock while acquiring shuffle locks).
   shuffle_.unregister_job(job);
 
+  // Sub-job execution: a key may appear in several batches' runs of its
+  // partition; fold them with the (algebraic) reducer. One batch, or
+  // incremental merging, leaves one run per partition: nothing to re-reduce.
+  if (std::any_of(st.runs.begin(), st.runs.end(),
+                  [](const std::vector<KVBatch>& part) {
+                    return part.size() > 1;
+                  })) {
+    const Status folded = fold_partitions(st.spec, st.runs);
+    if (!folded.is_ok()) return folded;
+  }
+
+  std::vector<KVBatch> partitions;
+  partitions.reserve(st.runs.size());
+  for (std::vector<KVBatch>& part : st.runs) {
+    for (KVBatch& run : part) partitions.push_back(std::move(run));
+  }
   JobResult result;
   result.id = job;
-  if (st.batches_run <= 1 || options_.incremental_merge) {
-    // Partition outputs within one batch have disjoint keys (and incremental
-    // merging keeps the invariant): sorting is all that is left to do.
-    std::sort(st.partials.begin(), st.partials.end(),
-              [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-    result.output = std::move(st.partials);
-  } else {
-    // Sub-job execution: the same key may appear in several partial outputs;
-    // fold them with the (algebraic) reducer.
-    result.output = re_reduce(st.spec, std::move(st.partials));
-  }
+  result.output = merge_partitions(partitions);
   return result;
 }
 

@@ -8,7 +8,15 @@
 // Contract for jobs executed across multiple batches (S3 sub-jobs): the
 // reducer must be algebraic — reducing the concatenation of partial outputs
 // must equal reducing the original data (true for counts, sums, min/max,
-// selection; see paper §V-G on output collection).
+// selection; see paper §V-G on output collection) — and must emit only keys
+// of its own partition (its input keys).
+//
+// Output collection: every reduce task's output stays a key-sorted KVBatch
+// run, kept per (job, partition), one per batch. finalize_job() folds every
+// partition that holds two or more runs with the reducer (k-way merge, one
+// reduce-pool task per partition): a job that ran two or more batches
+// without incremental_merge, or whose incremental fold failed. It then
+// merges the partitions' key-disjoint runs into the JobResult.
 //
 // Failure domains (DESIGN.md §12): run_batch() survives injected node
 // deaths (re-dispatch on a live replica), hung tasks (watchdog + modeled
@@ -18,6 +26,7 @@
 // surviving members instead of failing them all.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -60,8 +69,9 @@ struct LocalEngineOptions {
   // default (as in Metis) — with a generated block source the input touch
   // synthesizes each block an extra time.
   bool prefault = false;
-  // Paper §V-G extension: fold partial outputs into a running aggregate
-  // after every batch instead of keeping all partials until finalize.
+  // Paper §V-G extension: fold each partition's runs into a running
+  // aggregate after every batch instead of keeping one run per batch until
+  // finalize.
   bool incremental_merge = false;
   // Task-level fault tolerance: attempts per task before the batch fails.
   int max_task_attempts = 3;
@@ -121,6 +131,7 @@ class LocalEngine {
 
   // Merges a completed job's partial outputs into its final result and
   // releases its engine state. Must be called after the job's last batch.
+  // A reducer that throws while folding comes back as Status::internal.
   [[nodiscard]] StatusOr<JobResult> finalize_job(JobId job);
 
   // The returned reference escapes mu_; callers read it only between waves
@@ -138,7 +149,10 @@ class LocalEngine {
   struct JobState {
     JobSpec spec;
     JobCounters counters;
-    std::vector<KeyValue> partials;  // accumulated reduce outputs
+    // runs[partition]: that partition's reduce output, one key-sorted run
+    // per batch in batch order (one folded run under incremental_merge,
+    // unless a fold failed).
+    std::vector<std::vector<KVBatch>> runs;
     std::uint64_t batches_run = 0;
   };
 
@@ -197,10 +211,21 @@ class LocalEngine {
   // First live replica of the block (invalid without replica metadata).
   [[nodiscard]] NodeId pick_replica(BlockId block) const S3_EXCLUDES(mu_);
 
-  // Re-reduces `records` with the job's reducer (used by finalize and by
-  // incremental merging).
-  [[nodiscard]] std::vector<KeyValue> re_reduce(const JobSpec& spec,
-                                                std::vector<KeyValue> records);
+  // Runs task(i) for every i in [0, count) on the reduce pool, task i
+  // queued on worker i % size, and waits for all of them. These are not
+  // task attempts: they draw no TaskId, meet no fault injector and journal
+  // nothing. A task that throws comes back as Status::internal naming
+  // `what`.
+  [[nodiscard]] Status run_on_reduce_pool(
+      std::size_t count, const std::function<void(std::size_t)>& task,
+      const char* what) S3_EXCLUDES(mu_);
+
+  // Folds every partition of `runs` that holds two or more runs into one
+  // (fold_runs), one reduce-pool task per partition. Used by finalize and
+  // by incremental merging.
+  [[nodiscard]] Status fold_partitions(const JobSpec& spec,
+                                       std::vector<std::vector<KVBatch>>& runs)
+      S3_EXCLUDES(mu_);
 
   JobState& state(JobId job) S3_REQUIRES(mu_);
   [[nodiscard]] const JobState& state(JobId job) const S3_REQUIRES(mu_);

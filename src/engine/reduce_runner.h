@@ -1,7 +1,9 @@
 // Reduce task execution: takes one (job, partition) run set from the shuffle
 // store, k-way merges the sorted runs (or globally sorts, on the legacy
 // oracle path), runs the user reducer per key group, and returns the
-// partition's output.
+// partition's output as one key-sorted KVBatch run. The engine keeps that
+// run, one per batch, until finalize folds a partition's runs with
+// fold_runs() below.
 #pragma once
 
 #include "common/pinned_thread_pool.h"
@@ -22,8 +24,15 @@ struct ReduceTaskSpec {
 
 struct ReduceTaskOutcome {
   JobCounters counters;
-  std::vector<KeyValue> output;  // sorted by key within the partition
+  KVBatch output;  // the partition's output run, sorted_by_key()
 };
+
+// Folds one partition's runs (each sorted by key, in batch order) into one
+// key-sorted run: k-way merges them and re-applies the job's reducer to
+// every key group, on the calling thread. A key's values reach the reducer
+// in run order, so the fold is deterministic for a given run order.
+[[nodiscard]] KVBatch fold_runs(const JobSpec& job,
+                                const std::vector<KVBatch>& runs);
 
 class ReduceRunner {
  public:

@@ -216,8 +216,8 @@ TEST_F(MapReduceRunnerTest, ReduceAggregatesAcrossBlocks) {
   ASSERT_TRUE(outcome.is_ok());
   // "the" appears 3 times across the two blocks.
   ASSERT_EQ(outcome.value().output.size(), 1u);
-  EXPECT_EQ(outcome.value().output[0].key, "the");
-  EXPECT_EQ(outcome.value().output[0].value, "3");
+  EXPECT_EQ(outcome.value().output.key(0), "the");
+  EXPECT_EQ(outcome.value().output.value(0), "3");
   EXPECT_EQ(outcome.value().counters.reduce_input_groups, 1u);
 }
 

@@ -1,17 +1,22 @@
 // Unit tests for the flat record batch (KVBatch) and the grouping primitives
-// of the overhauled data path: hash_group (in-map combining) and
-// merge_runs_and_group (sorted-run shuffle), each checked against the legacy
-// sort_and_group oracle on randomized data.
+// of the overhauled data path: hash_group (in-map combining),
+// merge_runs_and_group (sorted-run shuffle) and fold_runs (finalize's
+// re-reduce), each checked against the legacy sort_and_group oracle on
+// randomized data.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/job.h"
 #include "engine/kv.h"
 #include "engine/kv_batch.h"
+#include "engine/reduce_runner.h"
 #include "engine/shuffle.h"
 
 namespace s3::engine {
@@ -101,6 +106,26 @@ TEST(KVBatchTest, SortByKeyIsStable) {
   EXPECT_EQ(batch.key(2), "b");
   EXPECT_EQ(batch.value(2), "1");
   EXPECT_EQ(batch.value(3), "3");
+}
+
+TEST(KVBatchTest, SortByKeyOnAscendingInputKeepsEntryOrder) {
+  // A reducer's output run usually arrives in key order already: sealing it
+  // must leave the entries where they are and mark the run sorted.
+  KVBatch batch;
+  batch.append("a", "2");
+  batch.append("a", "1");
+  batch.append("b", "3");
+  batch.append("c", "0");
+  ASSERT_FALSE(batch.sorted_by_key());
+  batch.sort_by_key();
+  EXPECT_TRUE(batch.sorted_by_key());
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"a", "2"}, {"a", "1"}, {"b", "3"}, {"c", "0"}};
+  ASSERT_EQ(batch.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(batch.key(i), want[i].first) << i;
+    EXPECT_EQ(batch.value(i), want[i].second) << i;
+  }
 }
 
 TEST(KVBatchTest, AppendAfterSortClearsSortedFlag) {
@@ -223,6 +248,53 @@ TEST(MergeRunsTest, EmptyAndSingleRun) {
             2u);
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 1}));
+}
+
+// Sums a group's integer values (an algebraic reducer).
+class SumValues final : public Reducer {
+ public:
+  void reduce(std::string_view key, const std::vector<std::string_view>& values,
+              Emitter& out) override {
+    std::uint64_t sum = 0;
+    for (const auto v : values) sum += std::stoull(std::string(v));
+    out.emit(key, std::to_string(sum));
+  }
+};
+
+TEST(FoldRunsTest, MatchesSortOracleOnRandomRuns) {
+  JobSpec job;
+  job.reducer_factory = [] { return std::make_unique<SumValues>(); };
+  Rng rng(11);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<KVBatch> runs;
+    KVBatch all;
+    const std::size_t num_runs = 1 + rng.uniform_u64(5);
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      KVBatch run = random_batch(rng, rng.uniform_u64(300),
+                                 1 + rng.uniform_u64(60));
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        all.append(run.key(i), run.value(i));
+      }
+      run.sort_by_key();
+      runs.push_back(std::move(run));
+    }
+    const KVBatch folded = fold_runs(job, runs);
+    EXPECT_TRUE(folded.sorted_by_key());
+    std::map<std::string, std::string> got;
+    for (std::size_t i = 0; i < folded.size(); ++i) {
+      EXPECT_TRUE(got.emplace(std::string(folded.key(i)),
+                              std::string(folded.value(i)))
+                      .second)
+          << "key folded twice: " << folded.key(i);
+    }
+    std::map<std::string, std::string> want;
+    for (const auto& [key, values] : oracle_groups(all)) {
+      std::uint64_t sum = 0;
+      for (const auto& v : values) sum += std::stoull(v);
+      want[key] = std::to_string(sum);
+    }
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST(PartitionTest, ViewAndStringAgree) {

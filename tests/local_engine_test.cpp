@@ -2,13 +2,22 @@
 // sub-job (multi-batch) equivalence, shared-scan accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "dfs/reader.h"
 #include "engine/local_engine.h"
+#include "engine/shuffle.h"
+#include "obs/journal.h"
 #include "sched/segment_planner.h"
+#include "workloads/aggregation.h"
 #include "workloads/text_corpus.h"
+#include "workloads/tpch.h"
 #include "workloads/wordcount.h"
 
 namespace s3::engine {
@@ -564,6 +573,360 @@ TEST_F(LocalEngineTest, JobWithNoMatchesProducesEmptyOutput) {
   auto result = engine.finalize_job(JobId(0));
   ASSERT_TRUE(result.is_ok());
   EXPECT_TRUE(result.value().output.empty());
+}
+
+// --- Finalize: per-partition runs folded on the reduce pool ---------------
+//
+// The reference is the engine's earlier output collection: every batch's
+// partial output as owned records, re-reduced by one reducer over
+// sort_and_group (std::sort, then the groups in key order). Each batch's
+// partial is itself built without the engine: the job's mapper over the
+// batch's records, then the same re-reduce.
+
+class CollectEmitter final : public Emitter {
+ public:
+  explicit CollectEmitter(std::vector<KeyValue>& out) : out_(&out) {}
+  void emit(std::string_view key, std::string_view value) override {
+    out_->push_back(KeyValue{std::string(key), std::string(value)});
+  }
+
+ private:
+  std::vector<KeyValue>* out_;
+};
+
+std::vector<KeyValue> reference_re_reduce(const JobSpec& spec,
+                                          std::vector<KeyValue> records) {
+  std::vector<KeyValue> merged;
+  CollectEmitter collect(merged);
+  auto reducer = spec.reducer_factory();
+  std::vector<std::string_view> value_views;
+  sort_and_group(std::move(records),
+                 [&](const std::string& key,
+                     const std::vector<std::string>& values) {
+                   value_views.assign(values.begin(), values.end());
+                   reducer->reduce(key, value_views, collect);
+                 });
+  return merged;
+}
+
+// What finalize_job returned before: one batch, or incremental merging
+// (which re-reduced after every batch past the first), only sorts; two or
+// more batches otherwise re-reduce the concatenated partials once.
+std::vector<KeyValue> reference_finalize(
+    const JobSpec& spec, const std::vector<std::vector<KeyValue>>& partials,
+    bool incremental) {
+  std::vector<KeyValue> acc;
+  for (std::size_t b = 0; b < partials.size(); ++b) {
+    acc.insert(acc.end(), partials[b].begin(), partials[b].end());
+    if (incremental && b > 0) acc = reference_re_reduce(spec, std::move(acc));
+  }
+  if (partials.size() > 1 && !incremental) {
+    return reference_re_reduce(spec, std::move(acc));
+  }
+  std::sort(acc.begin(), acc.end(),
+            [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
+  return acc;
+}
+
+// Keys must ascend in `got`; equal keys' records compare as a multiset,
+// since the reference's std::sort leaves their order unspecified.
+void expect_same_output(std::vector<KeyValue> got, std::vector<KeyValue> want) {
+  const auto key_less = [](const KeyValue& a, const KeyValue& b) {
+    return a.key < b.key;
+  };
+  ASSERT_TRUE(std::is_sorted(got.begin(), got.end(), key_less));
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+}
+
+std::int64_t sum_of(const std::vector<std::string_view>& values) {
+  std::int64_t sum = 0;
+  for (const std::string_view v : values) sum += std::stoll(std::string(v));
+  return sum;
+}
+
+// Emits each key twice with its value sum: once at its own call, and once
+// more at the next key's call, so its output run is out of key order. The
+// last key's second copy is never emitted, and re-applying it doubles
+// sums, so its output depends on exactly which records reach which reducer
+// instance.
+class HoldBackReducer final : public Reducer {
+ public:
+  void reduce(std::string_view key, const std::vector<std::string_view>& values,
+              Emitter& out) override {
+    const std::string total = std::to_string(sum_of(values));
+    out.emit(key, total);
+    if (held_) out.emit(held_key_, held_value_);
+    held_ = true;
+    held_key_.assign(key);
+    held_value_ = total;
+  }
+
+ private:
+  bool held_ = false;
+  std::string held_key_;
+  std::string held_value_;
+};
+
+// Emits the number of values (not their sum): re-applying it changes the
+// answer, so it shows whether finalize re-reduced.
+class CountValuesReducer final : public Reducer {
+ public:
+  void reduce(std::string_view key, const std::vector<std::string_view>& values,
+              Emitter& out) override {
+    out.emit(key, std::to_string(values.size()));
+  }
+};
+
+// Throws on any value it emitted itself: the reduce wave passes, and only a
+// fold of its earlier output throws.
+class ThrowOnFoldReducer final : public Reducer {
+ public:
+  void reduce(std::string_view key, const std::vector<std::string_view>& values,
+              Emitter& out) override {
+    for (const std::string_view v : values) {
+      if (!v.empty() && v.front() == 'x') throw std::runtime_error("fold boom");
+    }
+    out.emit(key, "x" + std::to_string(values.size()));
+  }
+};
+
+class FinalizeTest : public LocalEngineTest {
+ protected:
+  void SetUp() override {
+    LocalEngineTest::SetUp();
+    dfs::PlacementTopology topo;
+    topo.nodes.push_back({NodeId(0), RackId(0)});
+    dfs::RoundRobinPlacement placement(topo);
+    workloads::tpch::LineitemGenerator gen;
+    auto table = gen.generate_file(ns_, store_, placement, "lineitem", 8,
+                                   ByteSize::kib(8));
+    ASSERT_TRUE(table.is_ok());
+    table_ = table.value();
+  }
+
+  // `k` contiguous segments covering all 8 blocks of `file`, starting
+  // mid-file and wrapping, as S3 sub-jobs do.
+  std::vector<std::vector<BlockId>> segments(FileId file, std::size_t k) const {
+    const auto& all = ns_.file(file).blocks;
+    std::vector<std::vector<BlockId>> out(k);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      out[i * k / all.size()].push_back(all[(i + 3) % all.size()]);
+    }
+    return out;
+  }
+
+  // The output of `spec` run as one batch over `segment`, computed without
+  // the engine: a fresh mapper per block, every mapped record re-reduced.
+  std::vector<KeyValue> reference_partial(
+      const JobSpec& spec, const std::vector<BlockId>& segment) const {
+    std::vector<KeyValue> mapped;
+    CollectEmitter collect(mapped);
+    for (const BlockId b : segment) {
+      auto mapper = spec.mapper_factory();
+      dfs::LineRecordReader reader(store_.get(b).value());
+      dfs::Record record;
+      while (reader.next(record)) mapper->map(record, collect);
+      mapper->finish(collect);
+    }
+    return reference_re_reduce(spec, std::move(mapped));
+  }
+
+  // Runs `spec` on `engine` as one batch per segment and checks
+  // finalize_job's output against the reference built from the same
+  // segments.
+  void expect_matches_reference(LocalEngine& engine, JobSpec spec,
+                                std::size_t k, bool incremental) {
+    SCOPED_TRACE(spec.name + " k=" + std::to_string(k));
+    const auto parts = segments(spec.input, k);
+    std::vector<std::vector<KeyValue>> partials;
+    for (const auto& part : parts) {
+      partials.push_back(reference_partial(spec, part));
+    }
+    spec.id = JobId(next_job_++);
+    ASSERT_TRUE(engine.register_job(spec).is_ok());
+    for (std::size_t b = 0; b < k; ++b) {
+      ASSERT_TRUE(
+          engine.run_batch({BatchId(next_batch_++), parts[b], {spec.id}})
+              .is_ok());
+    }
+    auto got = engine.finalize_job(spec.id);
+    ASSERT_TRUE(got.is_ok());
+    std::vector<KeyValue> want = reference_finalize(spec, partials, incremental);
+    ASSERT_FALSE(want.empty());
+    expect_same_output(std::move(got).value().output, std::move(want));
+  }
+
+  // k in {1, 2, 5} batches, incremental merging off and on, 1 and 3 reduce
+  // workers.
+  void expect_matches_reference_everywhere(const JobSpec& spec) {
+    for (const bool incremental : {false, true}) {
+      for (const std::size_t reduce_workers : {1u, 3u}) {
+        SCOPED_TRACE("incremental=" + std::to_string(incremental) +
+                     " reduce_workers=" + std::to_string(reduce_workers));
+        LocalEngineOptions opts = workers(1, reduce_workers);
+        opts.incremental_merge = incremental;
+        LocalEngine engine(ns_, store_, opts);
+        for (const std::size_t k : {1u, 2u, 5u}) {
+          expect_matches_reference(engine, spec, k, incremental);
+        }
+      }
+    }
+  }
+
+  std::uint64_t next_job_ = 0;
+  std::uint64_t next_batch_ = 0;
+  FileId table_;
+};
+
+TEST_F(FinalizeTest, WordCountSumMatchesReference) {
+  expect_matches_reference_everywhere(
+      workloads::make_wordcount_job(JobId(0), file_, "", 4));
+}
+
+TEST_F(FinalizeTest, SelectionIdentityMatchesReference) {
+  expect_matches_reference_everywhere(
+      workloads::tpch::make_selection_job(JobId(0), table_, 10, 3));
+}
+
+TEST_F(FinalizeTest, AggregationPairSumMatchesReference) {
+  expect_matches_reference_everywhere(
+      workloads::make_avg_price_job(JobId(0), table_, 2));
+}
+
+TEST_F(FinalizeTest, OutOfOrderReducerMatchesReference) {
+  // One partition: the reference re-reduces every key through one reducer
+  // instance, so only then does a reducer whose output depends on its call
+  // sequence see the same keys in the fold.
+  JobSpec spec = workloads::make_wordcount_job(JobId(0), file_, "", 1);
+  spec.reducer_factory = [] { return std::make_unique<HoldBackReducer>(); };
+  expect_matches_reference_everywhere(spec);
+}
+
+TEST_F(FinalizeTest, OneBatchJobIsNotReReduced) {
+  JobSpec spec = workloads::make_wordcount_job(JobId(0), file_, "a", 3,
+                                               /*with_combiner=*/false);
+  spec.reducer_factory = [] { return std::make_unique<CountValuesReducer>(); };
+  JobSpec split = spec;
+  split.id = JobId(1);
+  LocalEngine engine(ns_, store_, workers(2, 2));
+  ASSERT_TRUE(engine.register_job(spec).is_ok());
+  ASSERT_TRUE(engine.register_job(split).is_ok());
+  ASSERT_TRUE(engine.run_batch({BatchId(0), blocks(0, 8), {spec.id}}).is_ok());
+  const auto halves = segments(file_, 2);
+  ASSERT_TRUE(engine.run_batch({BatchId(1), halves[0], {split.id}}).is_ok());
+  ASSERT_TRUE(engine.run_batch({BatchId(2), halves[1], {split.id}}).is_ok());
+
+  // One batch: the counts are the word frequencies, counted once.
+  std::map<std::string, std::string> want;
+  for (const auto& [word, count] : reference_counts("a")) {
+    want[word] = std::to_string(count);
+  }
+  auto once = engine.finalize_job(spec.id);
+  ASSERT_TRUE(once.is_ok());
+  EXPECT_EQ(to_map(once.value()), want);
+
+  // Two batches: the fold re-applies it, counting each word's partials.
+  auto twice = engine.finalize_job(split.id);
+  ASSERT_TRUE(twice.is_ok());
+  for (const auto& [word, count] : to_map(twice.value())) {
+    EXPECT_TRUE(count == "1" || count == "2") << word << " " << count;
+  }
+  EXPECT_EQ(to_map(twice.value()).size(), want.size());
+}
+
+TEST_F(FinalizeTest, MultiBatchPairSumIsByteIdenticalAcrossReduceWorkers) {
+  // A key's partial sums reach the fold in batch order whatever order the
+  // reduce tasks finished in, so the %.2f sums are the same bytes.
+  const JobSpec spec = workloads::make_avg_price_job(JobId(0), table_, 4);
+  std::vector<std::vector<KeyValue>> outputs;
+  for (const std::size_t reduce_workers : {1u, 4u}) {
+    LocalEngine engine(ns_, store_, workers(3, reduce_workers));
+    ASSERT_TRUE(engine.register_job(spec).is_ok());
+    std::uint64_t batch = 0;
+    for (const auto& segment : segments(table_, 8)) {
+      ASSERT_TRUE(
+          engine.run_batch({BatchId(batch++), segment, {spec.id}}).is_ok());
+    }
+    auto result = engine.finalize_job(spec.id);
+    ASSERT_TRUE(result.is_ok());
+    outputs.push_back(std::move(result).value().output);
+  }
+  ASSERT_FALSE(outputs[0].empty());
+  EXPECT_EQ(outputs[0], outputs[1]);
+}
+
+TEST_F(FinalizeTest, ThrowingFoldReturnsInternalError) {
+  JobSpec spec = workloads::make_wordcount_job(JobId(0), file_, "a", 3,
+                                               /*with_combiner=*/false);
+  spec.reducer_factory = [] { return std::make_unique<ThrowOnFoldReducer>(); };
+  const auto halves = segments(file_, 2);
+
+  LocalEngine engine(ns_, store_, workers(2, 2));
+  ASSERT_TRUE(engine.register_job(spec).is_ok());
+  ASSERT_TRUE(engine.run_batch({BatchId(0), halves[0], {spec.id}}).is_ok());
+  ASSERT_TRUE(engine.run_batch({BatchId(1), halves[1], {spec.id}}).is_ok());
+  const auto folded = engine.finalize_job(spec.id);
+  EXPECT_EQ(folded.status().code(), StatusCode::kInternal);
+
+  // Incremental merging folds after the second batch instead. The batch
+  // stays committed: the other member is still folded, and the failed
+  // member's unfolded runs are folded again at finalize, not returned with
+  // duplicate keys.
+  LocalEngineOptions opts = workers(2, 2);
+  opts.incremental_merge = true;
+  LocalEngine incremental(ns_, store_, opts);
+  const JobSpec other = workloads::make_wordcount_job(JobId(1), file_, "a", 3);
+  ASSERT_TRUE(incremental.register_job(spec).is_ok());
+  ASSERT_TRUE(incremental.register_job(other).is_ok());
+  ASSERT_TRUE(incremental
+                  .run_batch({BatchId(0), halves[0], {spec.id, other.id}})
+                  .is_ok());
+  EXPECT_EQ(incremental.run_batch({BatchId(1), halves[1], {spec.id, other.id}})
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  auto counted = incremental.finalize_job(other.id);
+  ASSERT_TRUE(counted.is_ok());
+  std::map<std::string, std::string> want;
+  for (const auto& [word, count] : reference_counts("a")) {
+    want[word] = std::to_string(count);
+  }
+  EXPECT_EQ(counted.value().output.size(), want.size());
+  EXPECT_EQ(to_map(counted.value()), want);
+  EXPECT_EQ(incremental.finalize_job(spec.id).status().code(),
+            StatusCode::kInternal);
+}
+
+TEST_F(FinalizeTest, FoldsAreNotTaskAttempts) {
+  // Folds draw no TaskId, meet no fault injector and journal nothing.
+  std::atomic<int> injector_calls{0};
+  LocalEngineOptions opts = workers(2, 3);
+  opts.fault_injector = [&injector_calls](const TaskAttempt&) {
+    injector_calls.fetch_add(1);
+    return Fault{};
+  };
+  LocalEngine engine(ns_, store_, opts);
+  const JobSpec spec = workloads::make_wordcount_job(JobId(0), file_, "", 3);
+  ASSERT_TRUE(engine.register_job(spec).is_ok());
+  std::uint64_t batch = 0;
+  for (const auto& segment : segments(file_, 5)) {
+    ASSERT_TRUE(
+        engine.run_batch({BatchId(batch++), segment, {spec.id}}).is_ok());
+  }
+  auto& journal = obs::EventJournal::instance();
+  journal.clear();
+  journal.set_enabled(true);
+  const int calls_before = injector_calls.load();
+  auto result = engine.finalize_job(spec.id);
+  const std::size_t events = journal.size();
+  journal.set_enabled(false);
+  journal.clear();
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_FALSE(result.value().output.empty());
+  EXPECT_EQ(injector_calls.load(), calls_before);
+  EXPECT_EQ(events, 0u);
 }
 
 }  // namespace

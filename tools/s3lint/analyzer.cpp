@@ -47,31 +47,47 @@ int run_analyzer(const AnalyzerPass& pass, const AnalyzerOptions& options,
     return 2;
   }
 
-  std::vector<SourceFile> files;
+  // One file's tokens at a time: read, tokenize, note its suppressions and
+  // hand it to the pass, which keeps only the model it extracts.
   std::map<std::string, Suppressions> suppressions;
-  for (const std::string& rel : collect_files(options.root, {"src"})) {
-    std::ifstream in(base / rel, std::ios::binary);
-    if (!in) {
-      out << pass.tool << ": cannot read " << rel << "\n";
-      *output = out.str();
-      return 2;
+  std::size_t files = 0;
+  std::string unreadable;
+  const ForEachFile for_each_file = [&](const FileVisitor& visit) {
+    for (const std::string& rel : collect_files(options.root, {"src"})) {
+      std::ifstream in(base / rel, std::ios::binary);
+      if (!in) {
+        unreadable = rel;
+        return;
+      }
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      const TokenizedFile tokens = tokenize(buf.str());
+      suppressions.emplace(
+          rel, Suppressions::parse(tokens.comments, pass.tool + ":"));
+      ++files;
+      visit(rel, tokens);
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    files.push_back({rel, tokenize(buf.str())});
-    suppressions.emplace(rel, Suppressions::parse(files.back().tokens.comments,
-                                                  pass.tool + ":"));
-  }
+  };
+  const auto read_failed = [&] {
+    out << pass.tool << ": cannot read " << unreadable << "\n";
+    *output = out.str();
+    return 2;
+  };
 
   if (options.dump_graph) {
-    pass.analyze(files, options.rules, &out);
+    std::ostringstream dump;
+    pass.analyze(for_each_file, options.rules, &dump);
+    if (!unreadable.empty()) return read_failed();
+    out << dump.str();
     *output = out.str();
     return 0;
   }
 
   std::set<std::string> rules = options.rules;
   if (rules.empty()) rules.insert(pass.rules.begin(), pass.rules.end());
-  const std::vector<Finding> found = pass.analyze(files, rules, nullptr);
+  const std::vector<Finding> found =
+      pass.analyze(for_each_file, rules, nullptr);
+  if (!unreadable.empty()) return read_failed();
   int reported = 0;
   // The set sorts the findings and drops exact duplicates.
   for (const Finding& f : std::set<Finding>(found.begin(), found.end())) {
@@ -85,7 +101,7 @@ int run_analyzer(const AnalyzerPass& pass, const AnalyzerOptions& options,
   }
   if (reported > 0) {
     out << pass.tool << ": " << reported << " finding"
-        << (reported == 1 ? "" : "s") << " in " << files.size() << " files\n";
+        << (reported == 1 ? "" : "s") << " in " << files << " files\n";
   }
   *output = out.str();
   return reported > 0 ? 1 : 0;

@@ -1,6 +1,9 @@
 // Shared driver of the whole-project analyzers (s3lockcheck, s3viewcheck).
-// Collects every C++ source under <root>/src, tokenizes it, hands the files
-// to the pass, drops findings silenced by the pass's own suppression tag
+// Collects every C++ source under <root>/src and tokenizes one file at a
+// time: the pass extracts that file's model and the tokens are dropped
+// before the next file is read, so only the models of the whole project are
+// alive at once. Then it drops findings silenced by the pass's own
+// suppression tag
 // (`// s3lockcheck: disable(rule)`), and reports the rest sorted, in the
 // same `path:line: error: [rule] message` format as s3lint (one tool-chain,
 // one grep pattern). Exit codes match too: 0 clean, 1 findings, 2 usage/IO.
@@ -36,10 +39,12 @@ struct AnalyzerOptions {
   bool dump_graph = false;      // print the merged graph instead of checking
 };
 
-struct SourceFile {
-  std::string path;  // root-relative, forward slashes
-  TokenizedFile tokens;
-};
+// Called once per source file, in path order, with its root-relative path
+// (forward slashes) and its tokens, which live only for the call.
+using FileVisitor =
+    std::function<void(const std::string& path, const TokenizedFile& tokens)>;
+// Runs a visitor over every source file of the project.
+using ForEachFile = std::function<void(const FileVisitor& visit)>;
 
 // One whole-project pass, as the driver runs it.
 struct AnalyzerPass {
@@ -47,10 +52,10 @@ struct AnalyzerPass {
   std::string summary;             // what the pass checks (usage text)
   std::string graph_help;          // what --graph prints (usage text)
   std::vector<std::string> rules;  // every rule the pass knows
-  // Builds the pass's project graph over `files`. With `dump` set, writes
-  // the --graph dump there; otherwise returns the findings of `rules`, in
-  // any order.
-  std::function<std::vector<Finding>(const std::vector<SourceFile>& files,
+  // Builds the pass's project graph over the files `for_each_file`
+  // visits. With `dump` set, writes the --graph dump there; otherwise
+  // returns the findings of `rules`, in any order.
+  std::function<std::vector<Finding>(const ForEachFile& for_each_file,
                                      const std::set<std::string>& rules,
                                      std::ostream* dump)>
       analyze;
@@ -63,12 +68,12 @@ struct AnalyzerPass {
 template <typename Graph, typename FileModel>
 auto analyze_with(FileModel (*extract)(const std::string&,
                                        const TokenizedFile&)) {
-  return [extract](const std::vector<SourceFile>& files,
+  return [extract](const ForEachFile& for_each_file,
                    const std::set<std::string>& rules, std::ostream* dump) {
     std::vector<FileModel> models;
-    for (const SourceFile& f : files) {
-      models.push_back(extract(f.path, f.tokens));
-    }
+    for_each_file([&](const std::string& path, const TokenizedFile& tokens) {
+      models.push_back(extract(path, tokens));
+    });
     const Graph graph(std::move(models));
     if (dump != nullptr) {
       graph.dump(*dump);
