@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/crc32.h"
 #include "common/pinned_thread_pool.h"
 #include "engine/arena_pool.h"
 #include "core/s3.h"
@@ -56,6 +57,20 @@ void BM_SharedScanReader(benchmark::State& state) {
                           consumers);
 }
 BENCHMARK(BM_SharedScanReader)->Arg(1)->Arg(2)->Arg(4)->Arg(10);
+
+// CRC-32 over one block-sized payload: the verification BlockStore::get runs
+// on every fetch (and put on every write). The ledger's blocks are 256 KiB
+// and 1 MiB.
+void BM_Crc32(benchmark::State& state) {
+  const auto payload =
+      make_text_payload(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(*payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload->size()));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(256 << 10)->Arg(1 << 20);
 
 // Shuffle-side sort+group on the representation the engine actually ships:
 // records live in a flat KVBatch arena, are sorted in place, and grouped by

@@ -27,8 +27,9 @@
 #                                    matrix with s3trace --validate on each
 #                                    captured trace
 #   scripts/check.sh --bench-smoke   run the locality-engine micro-benchmarks
-#                                    (pinned pool, tokenizer, threaded map
-#                                    path, prefix-wordcount map task) once
+#                                    (pinned pool, tokenizer, block CRC-32,
+#                                    threaded map path, prefix-wordcount map
+#                                    task) once
 #                                    each, fail on zero throughput
 #                                    or a benchmark error, and re-check the
 #                                    5% trace-overhead budget
@@ -59,9 +60,12 @@
 #                                    (default: every BENCHMARK.json workload)
 #                                    at S seconds (default 10), then
 #                                    bench/e2e_ledger/compare.py; fails on a
-#                                    REGRESSION or an incorrect run. Results
-#                                    stay in build-ledger/; the worktree is
-#                                    removed on exit. Not part of --all.
+#                                    REGRESSION or an incorrect run. Each
+#                                    run names its side's commit (the change
+#                                    side with -dirty when the working tree
+#                                    differs from HEAD). Results stay in
+#                                    build-ledger/; the worktree is removed
+#                                    on exit. Not part of --all.
 #   scripts/check.sh --all           tier-1 + lint + lockcheck
 #                                    + viewcheck + asan
 #                                    + ubsan + tsan
@@ -168,8 +172,14 @@ for w in json.load(open("BENCHMARK.json"))["workloads"]:
   local out="build-ledger"
   rm -rf "$out"
   mkdir -p "$out"
-  echo "=== ledger: base $(git rev-parse --short=12 "$base") vs this" \
-    "checkout, ${LEDGER_PAIRS} pairs x ${LEDGER_WORKLOADS[*]}" \
+  # run.sh reads the sha only from a .git directory, which a worktree lacks,
+  # so each side names itself: the harness keeps the last --git-sha.
+  local base_sha change_sha
+  base_sha="$(git rev-parse --short=12 "$base")"
+  change_sha="$(git rev-parse --short=12 HEAD)"
+  git diff --quiet HEAD || change_sha+="-dirty"
+  echo "=== ledger: base ${base_sha} vs this checkout (${change_sha})," \
+    "${LEDGER_PAIRS} pairs x ${LEDGER_WORKLOADS[*]}" \
     "at ${LEDGER_SECONDS}s, seed ${LEDGER_SEED} ==="
   local -a parents=() changes=()
   local workload i side first second file
@@ -180,11 +190,11 @@ for w in json.load(open("BENCHMARK.json"))["workloads"]:
         first=change; second=base; fi
       for side in "$first" "$second"; do
         file="${out}/${workload}-${i}-${side}.out"
-        local root="."
-        [[ "$side" == base ]] && root="$tree"
+        local root="." sha="$change_sha"
+        [[ "$side" == base ]] && root="$tree" sha="$base_sha"
         bash "${root}/bench/e2e_ledger/run.sh" --workload "$workload" \
           --seed "$LEDGER_SEED" --seconds "$LEDGER_SECONDS" --trace 0 \
-          > "$file" 2> "${file%.out}.log"
+          --git-sha "$sha" > "$file" 2> "${file%.out}.log"
         if [[ "$side" == base ]]; then parents+=("$file"); else
           changes+=("$file"); fi
       done
@@ -305,7 +315,7 @@ for mode in "${MODES[@]}"; do
       # reporter aborts on a run that mixes benchmarks with and without
       # user counters, so BM_MapRunnerPrefix (s_per_member) runs apart.
       for filter in \
-        'BM_(PinnedPoolSubmit|Tokenize|MapRunnerEndToEndThreads|ShuffleSortAndGroup)' \
+        'BM_(PinnedPoolSubmit|Tokenize|MapRunnerEndToEndThreads|ShuffleSortAndGroup|Crc32)' \
         'BM_MapRunnerPrefix'; do
         ./build/bench/micro_benchmarks --benchmark_filter="${filter}" \
           --benchmark_min_time=0.01 --benchmark_format=csv 2> /dev/null \

@@ -142,23 +142,25 @@ void FlightRecorder::set_enabled(bool enabled) {
 }
 
 FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
-  thread_local Ring* ring = nullptr;
-  if (ring == nullptr) {
-    ring = new Ring();  // leaked: see class comment
+  // Claimed once per thread. A thread past the table gets nullptr: no
+  // snapshot or dump could read its ring, so it allocates none.
+  thread_local Ring* const ring = [this]() -> Ring* {
     const std::size_t index =
         ring_count_.fetch_add(1, std::memory_order_acq_rel);
-    ring->ordinal = static_cast<std::uint32_t>(index);
-    if (index < kMaxThreads) {
-      rings_[index].store(ring, std::memory_order_release);
-    }
-  }
+    if (index >= kMaxThreads) return nullptr;
+    auto* claimed = new Ring();  // kept after thread exit: see the header
+    claimed->ordinal = static_cast<std::uint32_t>(index);
+    rings_[index].store(claimed, std::memory_order_release);
+    return claimed;
+  }();
   return ring;
 }
 
 void FlightRecorder::record_journal(const JournalEvent& event) {
   if (!enabled()) return;
-  const Correlation corr = t_correlation;
   Ring* ring = ring_for_this_thread();
+  if (ring == nullptr) return;
+  const Correlation corr = t_correlation;
   const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
   Record& slot = ring->slots[seq % kRingCapacity];
   slot.commit.store(0, std::memory_order_release);
@@ -195,8 +197,9 @@ void FlightRecorder::record_journal(const JournalEvent& event) {
 void FlightRecorder::record_span(FlightKind kind, const char* category,
                                  const char* name) {
   if (!enabled()) return;
-  const Correlation corr = t_correlation;
   Ring* ring = ring_for_this_thread();
+  if (ring == nullptr) return;
+  const Correlation corr = t_correlation;
   const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
   Record& slot = ring->slots[seq % kRingCapacity];
   slot.commit.store(0, std::memory_order_release);
@@ -220,8 +223,9 @@ void FlightRecorder::record_span(FlightKind kind, const char* category,
 void FlightRecorder::record_mark(const char* name, std::uint64_t a,
                                  std::uint64_t b) {
   if (!enabled()) return;
-  const Correlation corr = t_correlation;
   Ring* ring = ring_for_this_thread();
+  if (ring == nullptr) return;
+  const Correlation corr = t_correlation;
   const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
   Record& slot = ring->slots[seq % kRingCapacity];
   slot.commit.store(0, std::memory_order_release);

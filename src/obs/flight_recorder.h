@@ -82,8 +82,9 @@ class FlightRecorder {
   // (a wave writes two span edges per task plus a handful of journal
   // events) while keeping the per-thread footprint ~40 KiB.
   static constexpr std::size_t kRingCapacity = 256;
-  // Rings registered for dumping; threads beyond this still record locally
-  // but are invisible to dumps (far above any real worker count).
+  // Rings registered for dumping, one per recording thread (far above any
+  // real worker count). A thread that first records after the table is full
+  // allocates no ring and records nothing: no snapshot or dump could read it.
   static constexpr std::size_t kMaxThreads = 256;
   static constexpr std::size_t kDetailWords = 6;  // 48 bytes of detail text
   static constexpr std::size_t kDetailBytes = kDetailWords * 8;

@@ -387,11 +387,13 @@ TEST(Crc32Test, KnownAnswers) {
 
 TEST(Crc32Test, MatchesBitwiseReference) {
   constexpr std::size_t kMaxLength = 64 * 1024;
+  // The e2e_ledger's two block sizes.
+  constexpr std::size_t kBlockLengths[] = {256 * 1024, 1024 * 1024};
   Rng rng(0xc5c32);
-  std::string buffer(kMaxLength + 8, '\0');
+  std::string buffer(kBlockLengths[1] + 8, '\0');
   for (char& c : buffer) c = static_cast<char>(rng.next() & 0xffU);
   // Every short length at every start offset 0-7 (alignment and tail
-  // handling), then random lengths up to 64 KiB.
+  // handling), then random lengths up to 64 KiB, then whole blocks.
   for (std::size_t offset = 0; offset < 8; ++offset) {
     for (std::size_t length = 0; length <= 64; ++length) {
       const std::string_view data(buffer.data() + offset, length);
@@ -402,6 +404,12 @@ TEST(Crc32Test, MatchesBitwiseReference) {
   for (int i = 0; i < 32; ++i) {
     const std::size_t offset = rng.uniform_u64(8);
     const std::size_t length = rng.uniform_u64(kMaxLength + 1);
+    const std::string_view data(buffer.data() + offset, length);
+    ASSERT_EQ(crc32(data), crc32_bitwise(data))
+        << "offset " << offset << " length " << length;
+  }
+  for (const std::size_t length : kBlockLengths) {
+    const std::size_t offset = rng.uniform_u64(8);
     const std::string_view data(buffer.data() + offset, length);
     ASSERT_EQ(crc32(data), crc32_bitwise(data))
         << "offset " << offset << " length " << length;

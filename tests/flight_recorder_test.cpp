@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -221,6 +222,28 @@ TEST(FlightRecorder, DumpRoundTripsThroughPostmortemParser) {
   }
   EXPECT_TRUE(found);
   std::remove(path.c_str());
+}
+
+// Threads that first record after the ring table is full must allocate
+// nothing: no snapshot or dump could read their rings, so under
+// LeakSanitizer a ring kept for them fails the process at exit. The child
+// process keeps the full table out of later tests and makes the leak check
+// part of this test's verdict.
+TEST(FlightRecorder, ThreadsPastTheRingTableLeakNothing) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        auto& recorder = FlightRecorder::instance();
+        recorder.set_enabled(true);
+        for (std::size_t i = 0; i < FlightRecorder::kMaxThreads + 8; ++i) {
+          std::thread([i] { S3_FLIGHT_MARK("test.table_mark", i, 0); })
+              .join();
+        }
+        const bool bounded =
+            recorder.snapshot().size() <= FlightRecorder::kMaxThreads;
+        std::exit(bounded ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

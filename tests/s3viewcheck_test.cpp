@@ -156,6 +156,33 @@ TEST(ViewcheckModel, ParamTypesSeeThroughTemplates) {
   EXPECT_EQ(fn.params[2].name, "b");
 }
 
+TEST(ViewcheckModel, AttributeMacrosAreNotClassNames) {
+  // The class name is the last identifier before `final`, a base clause or
+  // `{`: an attribute macro, with or without arguments, is skipped.
+  const FileModel fm = extract(
+      "class S3_CAPABILITY(\"mutex\") Mu {\n"
+      " public:\n"
+      "  void lock() {}\n"
+      " private:\n"
+      "  AnnotatedMutex inner_{LockRank::kEngineState};\n"
+      "};\n"
+      "class S3_SCOPED_CAPABILITY Guard final {\n"
+      " public:\n"
+      "  void wait() {}\n"
+      " private:\n"
+      "  Mu* mu_;\n"
+      "};\n");
+  ASSERT_EQ(fm.mutexes.size(), 1u);
+  EXPECT_EQ(fm.mutexes[0].id, "Mu::inner_");
+  EXPECT_EQ(fm.members.at("Mu").at("inner_"), "AnnotatedMutex");
+  EXPECT_EQ(fm.members.at("Guard").at("mu_"), "Mu");
+  EXPECT_EQ(fm.members.count("S3_CAPABILITY"), 0u);
+  EXPECT_EQ(fm.members.count("S3_SCOPED_CAPABILITY"), 0u);
+  std::set<std::string> functions;
+  for (const FunctionModel& fn : fm.functions) functions.insert(fn.display);
+  EXPECT_EQ(functions, (std::set<std::string>{"Guard::wait", "Mu::lock"}));
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fixture trees
 

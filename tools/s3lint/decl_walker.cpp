@@ -382,11 +382,22 @@ std::size_t DeclWalker::parse_enum(std::size_t i, std::size_t end) {
 std::size_t DeclWalker::parse_class(std::size_t i, std::size_t end,
                                     const std::string& outer,
                                     LocalInstance* instance) {
+  // The name is the last identifier before `final`, the base clause or `{`;
+  // an attribute macro and its argument list (`S3_SCOPED_CAPABILITY`,
+  // `S3_CAPABILITY("mutex")`) are skipped.
+  std::string name;
   std::size_t j = i + 1;
-  if (j >= end || !is_ident(toks_[j])) return i;
-  const std::string name = toks_[j].text;
-  ++j;
-  // Skip "final", base clause, attributes — up to `{` or `;`.
+  while (j < end && is_ident(toks_[j]) && toks_[j].text != "final") {
+    if (is_macro_name(toks_[j].text)) {
+      ++j;
+      if (j < end && is_punct(toks_[j], "(")) j = skip_balanced(toks_, j);
+      continue;
+    }
+    name = toks_[j].text;
+    ++j;
+  }
+  if (name.empty()) return i;
+  // Skip "final", base clause — up to `{` or `;`.
   while (j < end && !is_punct(toks_[j], "{") && !is_punct(toks_[j], ";") &&
          !is_punct(toks_[j], "(") && !is_punct(toks_[j], "=")) {
     if (is_punct(toks_[j], "<")) {
