@@ -289,6 +289,34 @@ void BM_MapRunnerPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_MapRunnerPrefix)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 
+// The same for the TPC-H selections of the selection_generated ledger
+// workload: one 1 MiB lineitem block scanned once for n selection members
+// with the bounds l_quantity <= 1, 2, 3, 4, 5 in turn, 8 reduce partitions
+// each. Bytes/s counts the block once per task.
+void BM_MapRunnerSelection(benchmark::State& state) {
+  const std::int64_t members = state.range(0);
+  dfs::BlockStore store;
+  const workloads::tpch::LineitemGenerator lineitem;
+  const std::string block = lineitem.generate_block(0, ByteSize(1 << 20));
+  S3_CHECK(store.put(BlockId(0), block).is_ok());
+  dfs::StoredBlocks source(store);
+
+  std::vector<engine::JobSpec> specs;
+  specs.reserve(static_cast<std::size_t>(members));
+  for (std::int64_t j = 0; j < members; ++j) {
+    specs.push_back(workloads::tpch::make_selection_job(
+        JobId(static_cast<std::uint64_t>(j)), FileId(0),
+        1 + static_cast<int>(j % 5), 8));
+  }
+  run_member_tasks(state, source, specs);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(BM_MapRunnerSelection)
+    ->Arg(1)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
+
 // Output collection alone: a LocalEngine (4 map, 4 reduce workers) runs one
 // heavy wordcount job (amplify 2) as `batches` one-block batches over
 // 256 KiB blocks, untimed; only finalize_job is timed. Two or more batches

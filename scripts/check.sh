@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Full pre-merge check matrix.
 #
-#   scripts/check.sh                 tier-1 (warnings-as-errors build + ctest)
-#                                    then Release build + bench smoke
+#   scripts/check.sh                 tier-1 (warnings-as-errors build + ctest,
+#                                    failing on any crash dump the tests
+#                                    leave in build/tests/) then Release
+#                                    build + bench smoke
 #   scripts/check.sh --skip-release  tier-1 only
 #   scripts/check.sh --asan          ASan build + ctest   (build-asan/)
 #   scripts/check.sh --ubsan         UBSan build + ctest  (build-ubsan/)
@@ -28,8 +30,8 @@
 #                                    captured trace
 #   scripts/check.sh --bench-smoke   run the locality-engine micro-benchmarks
 #                                    (pinned pool, tokenizer, block CRC-32,
-#                                    threaded map path, prefix-wordcount map
-#                                    task) once
+#                                    threaded map path, prefix-wordcount and
+#                                    TPC-H selection map tasks) once
 #                                    each, fail on zero throughput
 #                                    or a benchmark error, and re-check the
 #                                    5% trace-overhead budget
@@ -74,7 +76,8 @@
 #                                    smoke + chaos matrix + storm matrix
 #
 # Sanitizer modes build tests only (benches/examples are covered by the
-# default mode) so the instrumented builds stay fast. --tidy and the format
+# default mode) so the instrumented builds stay fast; like tier-1, they fail
+# on a crash dump left in the build's tests/ directory. --tidy and the format
 # check degrade to a notice when the LLVM binaries are not installed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -207,6 +210,22 @@ for w in json.load(open("BENCHMARK.json"))["workloads"]:
     --change "${changes[@]}" | tee "${out}/compare.txt"
 }
 
+# Runs ctest in <build dir>, then fails if the run left a flight-recorder
+# crash dump (s3-crash-*.txt) in the build's tests/ directory: a test that
+# crashed, or a death test whose child's dump was not cleaned up.
+ctest_without_crash_dumps() {  # <build dir>
+  local stamp="$1/ctest-start.stamp" dumps
+  touch "$stamp"
+  (cd "$1" && ctest --output-on-failure -j)
+  dumps="$(find "$1/tests" -name 's3-crash-*.txt' -newer "$stamp")"
+  rm -f "$stamp"
+  if [[ -n "$dumps" ]]; then
+    echo "check.sh: the test run left crash dumps in $1/tests:" >&2
+    echo "$dumps" >&2
+    exit 1
+  fi
+}
+
 run_sanitized() {  # <name> <S3_SANITIZE value>
   local name="$1" value="$2"
   echo "=== ${name}: build + ctest (S3_SANITIZE=${value}) ==="
@@ -215,7 +234,7 @@ run_sanitized() {  # <name> <S3_SANITIZE value>
     -DS3_WARNINGS_AS_ERRORS=ON \
     -DS3_BUILD_BENCHMARKS=OFF -DS3_BUILD_EXAMPLES=OFF
   cmake --build "build-${name}" -j
-  (cd "build-${name}" && ctest --output-on-failure -j)
+  ctest_without_crash_dumps "build-${name}"
 }
 
 for mode in "${MODES[@]}"; do
@@ -224,7 +243,7 @@ for mode in "${MODES[@]}"; do
       echo "=== tier-1: configure + build (warnings as errors) + ctest ==="
       cmake -B build -S . -DS3_WARNINGS_AS_ERRORS=ON
       cmake --build build -j
-      (cd build && ctest --output-on-failure -j)
+      ctest_without_crash_dumps build
       ;;
     asan) run_sanitized asan address ;;
     ubsan) run_sanitized ubsan undefined ;;
@@ -313,10 +332,11 @@ for mode in "${MODES[@]}"; do
       # name,iterations,real_time,cpu_time,unit,bytes/s,items/s,label,err,...
       # Every row must report a positive throughput and no error. The CSV
       # reporter aborts on a run that mixes benchmarks with and without
-      # user counters, so BM_MapRunnerPrefix (s_per_member) runs apart.
+      # user counters, so BM_MapRunnerPrefix and BM_MapRunnerSelection
+      # (s_per_member) run apart.
       for filter in \
         'BM_(PinnedPoolSubmit|Tokenize|MapRunnerEndToEndThreads|ShuffleSortAndGroup|Crc32)' \
-        'BM_MapRunnerPrefix'; do
+        'BM_MapRunner(Prefix|Selection)'; do
         ./build/bench/micro_benchmarks --benchmark_filter="${filter}" \
           --benchmark_min_time=0.01 --benchmark_format=csv 2> /dev/null \
           || exit 1

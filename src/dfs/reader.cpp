@@ -5,6 +5,12 @@
 #include "common/status.h"
 
 namespace s3::dfs {
+namespace {
+
+// The separator of the TPC-H text format's fields.
+constexpr char kFieldSeparator = '|';
+
+}  // namespace
 
 LineRecordReader::LineRecordReader(Payload payload)
     : payload_(std::move(payload)) {
@@ -38,24 +44,44 @@ void LineRecordReader::reset() {
   records_read_ = 0;
 }
 
-void ChunkWords::reset(RecordChunk chunk) {
+void ChunkSplit::reset(RecordChunk chunk) {
   chunk_ = chunk;
-  split_ = false;
+  words_.built = false;
+  fields_.built = false;
 }
 
-void ChunkWords::split() {
-  words_.clear();
-  bounds_.clear();
-  bounds_.push_back(0);
-  for (const Record& record : chunk_) {
-    const char* const start = record.data.data();
-    for_each_word(record.data, [&](std::string_view word) {
-      words_.push_back(
-          Word{static_cast<std::size_t>(word.data() - start), word.size()});
-    });
-    bounds_.push_back(words_.size());
+void ChunkSplit::append_words(std::string_view record,
+                              std::vector<RecordSlice>& out) {
+  const char* const start = record.data();
+  for_each_word(record, [&](std::string_view word) {
+    out.push_back(RecordSlice{static_cast<std::size_t>(word.data() - start),
+                              word.size()});
+  });
+}
+
+void ChunkSplit::append_fields(std::string_view record,
+                               std::vector<RecordSlice>& out) {
+  std::size_t start = 0;
+  for (std::size_t sep = record.find(kFieldSeparator);
+       sep != std::string_view::npos;
+       sep = record.find(kFieldSeparator, start)) {
+    out.push_back(RecordSlice{start, sep - start});
+    start = sep + 1;
   }
-  split_ = true;
+  out.push_back(RecordSlice{start, record.size() - start});
+}
+
+void ChunkSplit::Table::build(
+    RecordChunk chunk,
+    void (*append)(std::string_view, std::vector<RecordSlice>&)) {
+  slices.clear();
+  bounds.clear();
+  bounds.push_back(0);
+  for (const Record& record : chunk) {
+    append(record.data, slices);
+    bounds.push_back(slices.size());
+  }
+  built = true;
 }
 
 SharedScanReader::SharedScanReader(Payload payload)
@@ -72,17 +98,17 @@ std::uint64_t SharedScanReader::scan() {
   LineRecordReader reader(payload_);
   // A lone consumer's records carry no table: splitting into a table only
   // to read it back once would cost more than splitting in place.
-  ChunkWords shared_words;
-  ChunkWords* const words = consumers_.size() >= 2 ? &shared_words : nullptr;
+  ChunkSplit shared_split;
+  ChunkSplit* const split = consumers_.size() >= 2 ? &shared_split : nullptr;
   std::vector<Record> chunk;
   const auto deliver = [&] {
-    if (words != nullptr) words->reset(chunk);
+    if (split != nullptr) split->reset(chunk);
     for (auto& consumer : consumers_) consumer(chunk);
     chunk.clear();
   };
   Record record;
   while (reader.next(record)) {
-    record.words = words;
+    record.split = split;
     record.index = chunk.size();
     chunk.push_back(record);
     // The record's end, counting its newline (one past the payload for an
@@ -94,21 +120,6 @@ std::uint64_t SharedScanReader::scan() {
   bytes_physical_ += payload_->size();
   bytes_logical_ += payload_->size() * consumers_.size();
   return reader.records_read();
-}
-
-std::vector<std::string_view> split_fields(std::string_view row, char sep) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  while (start <= row.size()) {
-    const std::size_t pos = row.find(sep, start);
-    if (pos == std::string_view::npos) {
-      fields.push_back(row.substr(start));
-      break;
-    }
-    fields.push_back(row.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return fields;
 }
 
 }  // namespace s3::dfs

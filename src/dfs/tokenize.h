@@ -1,14 +1,14 @@
 // Vectorized tokenization for the text workloads. It lives in dfs, not in
 // workloads, because the shared scan splits a chunk's records into words
-// once for all of a merged map task's members (reader.h, ChunkWords), and
-// dfs sits below workloads in the link order. The corpus delimiter is
-// exactly one byte — ' ' (0x20, see text_corpus.cpp) — so a window of input
-// reduces to a space bitmask, and every word boundary in the window falls
-// out of bit operations on that mask. Corpus words average ~6 bytes, so the
-// wide paths compute each window's mask ONCE and walk all of its boundaries
-// from the cached bits; a scan-per-boundary design would reload and
-// recompare the same window ~4 times per 16 bytes. Three implementations
-// share the semantics:
+// once for all of a merged map task's members (reader.h, ChunkSplit's word
+// table), and dfs sits below workloads in the link order. The corpus
+// delimiter is exactly one byte — ' ' (0x20, see text_corpus.cpp) — so a
+// window of input reduces to a space bitmask, and every word boundary in
+// the window falls out of bit operations on that mask. Corpus words average
+// ~6 bytes, so the wide paths compute each window's mask ONCE and walk all
+// of its boundaries from the cached bits; a scan-per-boundary design would
+// reload and recompare the same window ~4 times per 16 bytes. Three
+// implementations share the semantics:
 //
 //   kScalar  byte-at-a-time loop (the original for_each_word; the oracle)
 //   kSwar    8-byte windows via a uint64 load and an exact zero-byte
@@ -20,8 +20,11 @@
 // proven byte-identical by the differential tests (tokenize_test.cpp),
 // including end-to-end through all three schedulers. set_tokenize_mode
 // exists for those tests and for benchmarking the paths against each other;
-// production code never calls it. The mode applies to the shared split too,
-// since ChunkWords calls the same for_each_word.
+// production code never calls it. The mode applies to the shared word split
+// too, since ChunkSplit calls the same for_each_word. The '|' field split of
+// the TPC-H rows is not a tokenizer mode: it is one loop in reader.h
+// (ChunkSplit::append_fields), for the shared table and the in-place path
+// alike.
 #pragma once
 
 #include <atomic>

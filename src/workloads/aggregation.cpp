@@ -10,7 +10,7 @@ namespace s3::workloads {
 
 void AvgPriceMapper::map(const dfs::Record& record, engine::Emitter& out) {
   if (record.data.empty()) return;
-  const auto fields = dfs::split_fields(record.data);
+  const dfs::RecordFields fields = dfs::fields_of(record, fields_);
   if (fields.size() < static_cast<std::size_t>(tpch::kNumColumns)) return;
   // Key: l_returnflag; value: "price|1".
   value_buf_.assign(fields[tpch::kExtendedPrice]);

@@ -17,6 +17,7 @@
 #include <map>
 #include <string>
 
+#include "dfs/reader.h"
 #include "engine/job.h"
 #include "engine/mapper.h"
 
@@ -28,6 +29,8 @@ class AvgPriceMapper final : public engine::Mapper {
   void map(const dfs::Record& record, engine::Emitter& out) override;
 
  private:
+  // Reused field positions of a record split in place (dfs::fields_of).
+  dfs::FieldScratch fields_;
   std::string value_buf_;  // reused "price|1" scratch across records
 };
 

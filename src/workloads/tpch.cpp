@@ -121,7 +121,7 @@ SelectionMapper::SelectionMapper(int max_quantity)
 
 void SelectionMapper::map(const dfs::Record& record, engine::Emitter& out) {
   if (record.data.empty()) return;
-  const auto fields = dfs::split_fields(record.data);
+  const dfs::RecordFields fields = dfs::fields_of(record, fields_);
   if (fields.size() < static_cast<std::size_t>(kNumColumns)) return;  // skip malformed
   int quantity = 0;
   const auto q = fields[kQuantity];

@@ -14,6 +14,7 @@
 #include "dfs/block_store.h"
 #include "dfs/dfs_namespace.h"
 #include "dfs/placement.h"
+#include "dfs/reader.h"
 #include "engine/job.h"
 #include "engine/mapper.h"
 
@@ -71,6 +72,8 @@ class SelectionMapper final : public engine::Mapper {
 
  private:
   int max_quantity_;
+  // Reused field positions of a record split in place (dfs::fields_of).
+  dfs::FieldScratch fields_;
   std::string key_buf_;    // reused "orderkey:linenumber" scratch
   std::string value_buf_;  // reused "quantity|price" scratch
 };

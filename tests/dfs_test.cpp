@@ -2,6 +2,7 @@
 // segments and record readers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -427,23 +428,23 @@ TEST(SharedScanReaderTest, ConsumersShareOneWordSplitPerChunk) {
   set_tokenize_mode(TokenizeMode::kAuto);
 
   SharedScanReader reader(payload);
-  std::vector<const ChunkWords*> tables;  // one per chunk
+  std::vector<const ChunkSplit*> tables;  // one per chunk
   std::vector<std::vector<Words>> seen(2);
   for (int c = 0; c < 2; ++c) {
     reader.add_consumer([&, c](RecordChunk chunk) {
-      const ChunkWords* table = chunk.front().words;
+      const ChunkSplit* table = chunk.front().split;
       ASSERT_NE(table, nullptr);
       if (c == 0) {
         // The first consumer to ask splits the chunk; the second reads
         // that split.
-        EXPECT_FALSE(table->is_split());
+        EXPECT_FALSE(table->words_split());
         tables.push_back(table);
       } else {
         EXPECT_EQ(table, tables.back());
-        EXPECT_TRUE(table->is_split());
+        EXPECT_TRUE(table->words_split());
       }
       for (const Record& rec : chunk) {
-        EXPECT_EQ(rec.words, table);
+        EXPECT_EQ(rec.split, table);
         Words& words = seen[c].emplace_back();
         for_each_word(rec, [&](std::string_view w) { words.emplace_back(w); });
       }
@@ -459,8 +460,8 @@ TEST(SharedScanReaderTest, ConsumersShareOneWordSplitPerChunk) {
   int split_seen = 0;
   for (int c = 0; c < 2; ++c) {
     silent.add_consumer([&](RecordChunk chunk) {
-      ASSERT_NE(chunk.front().words, nullptr);
-      if (chunk.front().words->is_split()) ++split_seen;
+      ASSERT_NE(chunk.front().split, nullptr);
+      if (chunk.front().split->words_split()) ++split_seen;
     });
   }
   silent.scan();
@@ -472,7 +473,7 @@ TEST(SharedScanReaderTest, ConsumersShareOneWordSplitPerChunk) {
   std::vector<Words> solo_seen;
   solo.add_consumer([&](RecordChunk chunk) {
     for (const Record& rec : chunk) {
-      if (rec.words != nullptr) ++with_table;
+      if (rec.split != nullptr) ++with_table;
       Words& words = solo_seen.emplace_back();
       for_each_word(rec, [&](std::string_view w) { words.emplace_back(w); });
     }
@@ -482,8 +483,141 @@ TEST(SharedScanReaderTest, ConsumersShareOneWordSplitPerChunk) {
   EXPECT_EQ(solo_seen, expected);
 }
 
+// A block of '|'-separated rows over several scan chunks: empty fields,
+// leading and trailing '|', rows without '|', empty lines (one of them
+// closing a chunk), a row longer than a chunk, and an unterminated last row.
+std::string field_rows_block() {
+  Rng rng(13);
+  auto field = [&]() -> std::string {
+    const std::uint64_t pick = rng.uniform_u64(8);
+    if (pick == 0) return "";
+    return std::string(static_cast<std::size_t>(pick * 3 % 11),
+                       static_cast<char>('a' + pick));
+  };
+  auto row = [&](std::size_t fields) {
+    std::string out = field();
+    for (std::size_t f = 1; f < fields; ++f) out += '|' + field();
+    return out;
+  };
+  std::string text;
+  while (text.size() + 200 < kScanChunkBytes) {
+    text += row(1 + rng.uniform_u64(18)) + '\n';
+  }
+  text += "|leading|\n|\n||\nno separators\ntrailing||\n";
+  // A row that ends one byte short of a chunk, so the empty line after it
+  // closes the chunk.
+  text += std::string(kScanChunkBytes - text.size() - 2, 'x') + "\n\n";
+  text += "\n" + row(1200) + '\n';  // longer than a chunk
+  for (int i = 0; i < 300; ++i) {
+    text += (i % 29 == 0 ? std::string() : row(1 + i % 17)) + '\n';
+  }
+  text += row(5);
+  return text;
+}
+
+// The oracle: a record's fields, split on '|' byte by byte.
+std::vector<std::string> naive_fields(std::string_view row) {
+  std::vector<std::string> fields(1);
+  for (const char c : row) {
+    if (c == '|') {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+std::vector<std::string> owned_fields(const RecordFields& fields) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < fields.size(); ++i) out.emplace_back(fields[i]);
+  return out;
+}
+
+TEST(SharedScanReaderTest, ConsumersShareOneFieldSplitPerChunk) {
+  const std::string text = field_rows_block();
+  auto payload = std::make_shared<const std::string>(text);
+  std::vector<std::vector<std::string>> expected;
+  std::vector<std::vector<std::string>> chunks;
+  {
+    SharedScanReader shape(payload);
+    shape.add_consumer([&](RecordChunk chunk) {
+      std::vector<std::string>& records = chunks.emplace_back();
+      for (const Record& rec : chunk) {
+        records.emplace_back(rec.data);
+        expected.push_back(naive_fields(rec.data));
+      }
+    });
+    shape.scan();
+  }
+  // The block has the shape the test is about.
+  ASSERT_GE(chunks.size(), 4u);
+  EXPECT_EQ(chunks[0].back(), "");
+  EXPECT_EQ(chunks[1].front(), "");
+  EXPECT_GT(chunks[1][1].size(), kScanChunkBytes);
+  EXPECT_EQ(chunks[1].size(), 2u);
+  EXPECT_NE(text.back(), '\n');
+  const std::size_t widest =
+      std::max_element(expected.begin(), expected.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.size() < b.size();
+                       })->size();
+  EXPECT_EQ(widest, 1200u);
+
+  SharedScanReader reader(payload);
+  std::vector<const ChunkSplit*> tables;  // one per chunk
+  std::vector<std::vector<std::vector<std::string>>> seen(2);
+  std::vector<FieldScratch> scratch(2);
+  for (int c = 0; c < 2; ++c) {
+    reader.add_consumer([&, c](RecordChunk chunk) {
+      const ChunkSplit* table = chunk.front().split;
+      ASSERT_NE(table, nullptr);
+      if (c == 0) {
+        // The first consumer to ask splits the chunk's fields, and only
+        // them; the second reads that split.
+        EXPECT_FALSE(table->fields_split());
+        tables.push_back(table);
+      } else {
+        EXPECT_EQ(table, tables.back());
+        EXPECT_TRUE(table->fields_split());
+      }
+      for (const Record& rec : chunk) {
+        EXPECT_EQ(rec.split, table);
+        seen[c].push_back(owned_fields(fields_of(rec, scratch[c])));
+      }
+      EXPECT_TRUE(table->fields_split());
+      EXPECT_FALSE(table->words_split());
+    });
+  }
+  EXPECT_EQ(reader.scan(), expected.size());
+  EXPECT_EQ(tables.size(), chunks.size());
+  EXPECT_EQ(seen[0], expected);
+  EXPECT_EQ(seen[1], expected);
+  // Both read the table; neither split a record in place.
+  EXPECT_TRUE(scratch[0].empty());
+  EXPECT_TRUE(scratch[1].empty());
+
+  // A lone consumer's records carry no table and split in place, into the
+  // one scratch buffer.
+  SharedScanReader solo(payload);
+  FieldScratch solo_scratch;
+  std::vector<std::vector<std::string>> solo_seen;
+  int with_table = 0;
+  solo.add_consumer([&](RecordChunk chunk) {
+    for (const Record& rec : chunk) {
+      if (rec.split != nullptr) ++with_table;
+      solo_seen.push_back(owned_fields(fields_of(rec, solo_scratch)));
+    }
+  });
+  solo.scan();
+  EXPECT_EQ(with_table, 0);
+  EXPECT_EQ(solo_seen, expected);
+  EXPECT_GE(solo_scratch.capacity(), widest);
+}
+
 TEST(SplitFieldsTest, TpchRow) {
-  const auto fields = split_fields("1|22|333|4|", '|');
+  FieldScratch scratch;
+  const RecordFields fields = fields_of(Record{0, "1|22|333|4|"}, scratch);
   ASSERT_EQ(fields.size(), 5u);
   EXPECT_EQ(fields[0], "1");
   EXPECT_EQ(fields[2], "333");

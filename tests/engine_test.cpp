@@ -17,6 +17,8 @@
 #include "engine/map_runner.h"
 #include "engine/reduce_runner.h"
 #include "engine/shuffle.h"
+#include "workloads/aggregation.h"
+#include "workloads/tpch.h"
 #include "workloads/wordcount.h"
 
 namespace s3::engine {
@@ -455,6 +457,100 @@ TEST(MergedMapTaskTest, SharedSplitEqualsSoloUnderEveryTokenizeMode) {
       EXPECT_EQ(m.partitions, s.partitions) << spec->name;
       EXPECT_GT(m.counters[2], 0u) << spec->name;  // map_output_records
     }
+  }
+}
+
+// `row` with field `column` replaced by `value`.
+std::string with_field(std::string row, std::size_t column,
+                       std::string_view value) {
+  std::size_t start = 0;
+  for (std::size_t c = 0; c < column; ++c) start = row.find('|', start) + 1;
+  const std::size_t end = row.find('|', start);
+  return row.replace(start, end - start, value);
+}
+
+// A lineitem block of several scan chunks with malformed rows among the
+// generated ones: rows of fewer than 16 fields (one of them all empty
+// fields), non-numeric and empty quantities, a row with a 17th field, empty
+// lines (one closing the first chunk), a row longer than a chunk, and an
+// unterminated last row.
+std::string irregular_lineitem_block() {
+  const workloads::tpch::LineitemGenerator gen(5);
+  std::uint64_t next = 0;
+  const std::string row = gen.row(0);
+  const std::string malformed[] = {
+      "1|2|3|4|5|6|7",
+      "||||2|7.50" + std::string(10, '|'),  // 16 fields, 14 of them empty
+      row.substr(0, row.rfind('|')),        // 15 fields
+      with_field(row, workloads::tpch::kQuantity, "x2"),
+      with_field(row, workloads::tpch::kQuantity, "2x"),
+      with_field(row, workloads::tpch::kQuantity, ""),
+      with_field(row, workloads::tpch::kQuantity, "1") + "|extra",
+  };
+  std::string text;
+  while (text.size() + 1200 < dfs::kScanChunkBytes) {
+    text += gen.row(next++) + '\n';
+  }
+  for (const std::string& bad : malformed) text += bad + '\n';
+  // A row that ends one byte short of a chunk, so the empty line after it
+  // closes the chunk.
+  text += "9|" + std::string(dfs::kScanChunkBytes - text.size() - 4, '9') +
+          "\n\n";
+  text += "\n" + gen.row(next++) + std::string(5000, 'c') + '\n';
+  for (int i = 0; i < 400; ++i) {
+    text += (i % 23 == 0 ? malformed[i / 23 % std::size(malformed)]
+                         : gen.row(next++)) +
+            '\n';
+    if (i % 97 == 0) text += '\n';
+  }
+  text += gen.row(next++);
+  return text;
+}
+
+TEST(MergedMapTaskTest, SharedFieldSplitEqualsSoloTasks) {
+  const std::string text = irregular_lineitem_block();
+  {
+    // The block has the shape the test is about.
+    dfs::SharedScanReader reader(std::make_shared<const std::string>(text));
+    std::vector<std::vector<std::string>> chunks;
+    reader.add_consumer([&](dfs::RecordChunk chunk) {
+      std::vector<std::string>& records = chunks.emplace_back();
+      for (const dfs::Record& r : chunk) records.emplace_back(r.data);
+    });
+    reader.scan();
+    ASSERT_GE(chunks.size(), 4u);
+    EXPECT_EQ(chunks[0].back(), "");
+    EXPECT_EQ(chunks[1].front(), "");
+    EXPECT_GT(chunks[1].back().size(), dfs::kScanChunkBytes);
+    EXPECT_NE(text.back(), '\n');
+  }
+
+  dfs::BlockStore store;
+  ASSERT_TRUE(store.put(BlockId(0), text).is_ok());
+  dfs::StoredBlocks source(store);
+  std::vector<JobSpec> specs;
+  for (int q = 1; q <= 5; ++q) {
+    specs.push_back(workloads::tpch::make_selection_job(
+        JobId(static_cast<std::uint64_t>(q - 1)), FileId(0), q, 4));
+  }
+  specs.push_back(workloads::make_avg_price_job(JobId(5), FileId(0), 2));
+  specs.push_back(workloads::make_avg_price_job(JobId(6), FileId(0), 3));
+  // A word member in the same task asks the chunk for its other split.
+  specs.push_back(
+      workloads::make_wordcount_job(JobId(7), FileId(0), "", 4, true));
+  std::vector<const JobSpec*> members;
+  for (const JobSpec& spec : specs) members.push_back(&spec);
+
+  const auto merged = run_map_task(source, members);
+  for (const JobSpec* spec : members) {
+    const auto solo = run_map_task(source, {spec});
+    ASSERT_EQ(merged.count(spec->id.value()), 1u);
+    ASSERT_EQ(solo.count(spec->id.value()), 1u);
+    const MemberOutput& m = merged.at(spec->id.value());
+    const MemberOutput& s = solo.at(spec->id.value());
+    EXPECT_EQ(m.counters, s.counters) << spec->name;
+    EXPECT_EQ(m.partitions, s.partitions) << spec->name;
+    EXPECT_GT(m.counters[2], 0u) << spec->name;  // map_output_records
   }
 }
 

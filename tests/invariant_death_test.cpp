@@ -2,10 +2,14 @@
 // abort loudly rather than let a corrupted experiment run to completion.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
 #include "dfs/segment.h"
 #include "metrics/metrics.h"
+#include "obs/crash_dump.h"
 #include "sched/job_queue_manager.h"
 
 namespace s3 {
@@ -13,8 +17,35 @@ namespace {
 
 using sched::JobQueueManager;
 
+// An S3_CHECK in JobQueueManager writes a flight-recorder crash dump before
+// it aborts. This sends the dumps of a test's death children to a temporary
+// directory named after the test, and removes it when the test ends, so no
+// s3-crash-*.txt is left in the working directory. With the "threadsafe"
+// death-test style each child re-runs the test body up to its EXPECT_DEATH,
+// so parent and child agree on the directory.
+class ScopedCrashDumpDir {
+ public:
+  ScopedCrashDumpDir() {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("s3-death-") + test->test_suite_name() + "." +
+            test->name());
+    std::filesystem::create_directories(dir_);
+    obs::set_crash_dump_dir(dir_.string());
+  }
+  ~ScopedCrashDumpDir() { std::filesystem::remove_all(dir_); }
+
+  ScopedCrashDumpDir(const ScopedCrashDumpDir&) = delete;
+  ScopedCrashDumpDir& operator=(const ScopedCrashDumpDir&) = delete;
+
+ private:
+  std::filesystem::path dir_;
+};
+
 TEST(JqmDeathTest, SecondBatchWhileInFlightAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedCrashDumpDir dumps;
   JobQueueManager jqm(FileId(0), 8);
   jqm.admit(JobId(0));
   const auto batch = jqm.form_batch(BatchId(0), 4);
@@ -24,6 +55,7 @@ TEST(JqmDeathTest, SecondBatchWhileInFlightAborts) {
 
 TEST(JqmDeathTest, CompleteWithoutBatchAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedCrashDumpDir dumps;
   JobQueueManager jqm(FileId(0), 8);
   jqm.admit(JobId(0));
   EXPECT_DEATH(jqm.complete_batch(), "complete_batch with none in flight");
@@ -31,6 +63,7 @@ TEST(JqmDeathTest, CompleteWithoutBatchAborts) {
 
 TEST(JqmDeathTest, DoubleAdmitAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedCrashDumpDir dumps;
   JobQueueManager jqm(FileId(0), 8);
   jqm.admit(JobId(0));
   EXPECT_DEATH(jqm.admit(JobId(0)), "admitted twice");
@@ -39,6 +72,7 @@ TEST(JqmDeathTest, DoubleAdmitAborts) {
 TEST(JqmDeathTest, CorruptedCursorAbortsUnderDebugContracts) {
 #if S3_DCHECKS_ENABLED
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedCrashDumpDir dumps;
   JobQueueManager jqm(FileId(0), 8);
   jqm.admit(JobId(0));
   // Force the circular scan cursor past the end of the file; the Algorithm 1

@@ -94,7 +94,8 @@ TEST(TextCorpusTest, GenerateFilePopulatesDfs) {
 TEST(LineitemTest, RowHas16Columns) {
   tpch::LineitemGenerator gen;
   const std::string row = gen.row(0);  // keep alive: fields view into it
-  const auto fields = dfs::split_fields(row);
+  dfs::FieldScratch scratch;
+  const auto fields = dfs::fields_of(dfs::Record{0, row}, scratch);
   EXPECT_EQ(fields.size(), static_cast<std::size_t>(tpch::kNumColumns));
 }
 
@@ -108,8 +109,9 @@ TEST(LineitemTest, OrderAndLineNumbers) {
   tpch::LineitemGenerator gen;
   const std::string r0 = gen.row(0);
   const std::string r5 = gen.row(5);
-  const auto f0 = dfs::split_fields(r0);
-  const auto f5 = dfs::split_fields(r5);
+  dfs::FieldScratch s0, s5;
+  const auto f0 = dfs::fields_of(dfs::Record{0, r0}, s0);
+  const auto f5 = dfs::fields_of(dfs::Record{0, r5}, s5);
   EXPECT_EQ(f0[tpch::kOrderKey], "1");
   EXPECT_EQ(f0[tpch::kLineNumber], "1");
   EXPECT_EQ(f5[tpch::kOrderKey], "2");
@@ -121,9 +123,10 @@ TEST(LineitemTest, QuantityUniformSelectivity) {
   tpch::LineitemGenerator gen;
   int selected = 0;
   const int n = 5000;
+  dfs::FieldScratch scratch;
   for (int i = 0; i < n; ++i) {
     const std::string row = gen.row(static_cast<std::uint64_t>(i));
-    const auto fields = dfs::split_fields(row);
+    const auto fields = dfs::fields_of(dfs::Record{0, row}, scratch);
     int quantity = 0;
     const auto q = fields[tpch::kQuantity];
     std::from_chars(q.data(), q.data() + q.size(), quantity);
@@ -158,9 +161,10 @@ TEST(SelectionMapperTest, FiltersByQuantity) {
   } collect(out);
 
   int expected = 0;
+  dfs::FieldScratch scratch;
   for (std::uint64_t i = 0; i < 500; ++i) {
     const std::string row = gen.row(i);
-    const auto fields = dfs::split_fields(row);
+    const auto fields = dfs::fields_of(dfs::Record{0, row}, scratch);
     int quantity = 0;
     std::from_chars(fields[tpch::kQuantity].data(),
                     fields[tpch::kQuantity].data() + fields[tpch::kQuantity].size(),
